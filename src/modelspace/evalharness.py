@@ -1,13 +1,10 @@
-"""Judging and aggregation: sound/preferred verdicts per outcome, per-domain
+"""Judging and aggregation: preferred verdicts per outcome (soundness is
+decided once, by `repair.judge`, inside each pipeline), per-domain
 per-pipeline tallies, and the bar-chart CSV breakdown."""
 from __future__ import annotations
 
 import csv
 import io
-
-from .edits import UNSOLVABILITY, RepairTask, apply_edits
-from .pddl import ground_task
-from .planner import BUDGET_EXHAUSTED, Budget, solve, validate_plan
 
 PIPELINE_ORDER = ("llm_only", "post_processor", "pre_processor")
 
@@ -18,22 +15,6 @@ class SchemaError(Exception):
 
 class UnknownInstance(Exception):
     pass
-
-
-def judge_soundness_detailed(
-    task: RepairTask, edits, budget: Budget | None = None
-) -> tuple[bool, bool]:
-    """(sound, indeterminate). A budget-exhausted solvability check cannot
-    prove either way; it is judged not sound and flagged indeterminate."""
-    repaired = apply_edits(task.base, edits)
-    if task.use_case == UNSOLVABILITY:
-        verdict = solve(ground_task(repaired), budget)
-        return verdict.solved, verdict.status == BUDGET_EXHAUSTED
-    return validate_plan(repaired, task.target_plan).valid, False
-
-
-def judge_soundness(task: RepairTask, edits, budget: Budget | None = None) -> bool:
-    return judge_soundness_detailed(task, edits, budget)[0]
 
 
 def judge_preferred(edits, family, model, repair_needed: bool = True) -> bool:

@@ -18,10 +18,13 @@ from .repair import (
     ENUM_EXPANSIONS_EXECUTABILITY,
     ENUM_EXPANSIONS_UNSOLVABILITY,
     ENUM_MAX_SECONDS,
+    INDETERMINATE,
+    SOUND,
+    UNSOUND,
     NoSolution,
     enumerate_solutions,
+    judge,
     repair_min_cost,
-    verify_repair,
 )
 
 LLM_ONLY = "llm_only"
@@ -43,6 +46,7 @@ class PipelineOutcome:
     provider: str = ""
     edits: frozenset | None = None
     sound: bool = False
+    indeterminate: bool = False  # the soundness check ran out of budget
     preferred: bool = False
     failure: str | None = None  # e.g. "no_solution:budget_exhausted"
     prompt: str = ""
@@ -117,11 +121,13 @@ def run_llm_only(
     outcome.diagnostics.extend(parsed.rejected)
     t0 = time.monotonic()
     try:
-        outcome.sound = verify_repair(task, parsed.edits)
+        verdict = judge(task, parsed.edits)
     except PddlError as exc:
         # inapplicable edits (hallucinated atoms, stale removals): not sound
-        outcome.sound = False
+        verdict = UNSOUND
         outcome.diagnostics.append(str(exc))
+    outcome.sound = verdict == SOUND
+    outcome.indeterminate = verdict == INDETERMINATE
     outcome.timings["verify"] = time.monotonic() - t0
     return outcome
 
@@ -163,7 +169,7 @@ def run_post_processor(
         outcome.diagnostics.append(str(exc))
         return outcome
     edits = options[choice - 1]
-    if not verify_repair(task, edits):
+    if judge(task, edits) != SOUND:
         raise AssertionError("enumerated option failed re-verification")
     outcome.edits = edits
     outcome.sound = True

@@ -1,10 +1,17 @@
-"""Combinatorial search over edit sets.
+"""Combinatorial search over edit sets, and the one soundness verdict.
 
-Both entry points compile candidate edits into zero-parameter actions that
-are only applicable in an initial "editing" phase, then run uniform-cost
-search on the combined task: the edit actions appearing in a goal-reaching
-plan are the repair. Returned solutions are re-verified against the
-objective metric before being handed back.
+Both entry points compile candidate initial-state additions into
+zero-parameter actions that are only applicable in an initial "editing"
+phase. Min-cost repair runs `planner.solve` on the compiled task: the edit
+actions of the plan are the repair. Enumeration runs `_search`, which keeps
+the applied edit set in each node so it can go on past the first solution.
+Removal edits are not searched: preconditions and goals are positive-only,
+so growing the initial state is monotone and no minimal repair removes a
+fact.
+
+`judge` decides soundness (SOUND, UNSOUND or INDETERMINATE) by recomputing
+the objective metric on the repaired model; a min-cost repair is judged
+before it is handed back.
 """
 from __future__ import annotations
 
@@ -20,12 +27,23 @@ from .edits import (
     RepairTask,
     apply_edits,
 )
-from .pddl import GroundAtom, GroundTask, Model, ground_task
+from .pddl import GroundAtom, GroundTask, ground_task
 from .pddl.ground import GroundAction
-from .planner import Budget, SearchStats, solve, validate_plan
+from .planner import (
+    BUDGET_EXHAUSTED,
+    SOLVED,
+    UNSOLVABLE,
+    Budget,
+    SearchStats,
+    solve,
+    validate_plan,
+)
 
 PROVEN_INSUFFICIENT = "proven_insufficient"
-BUDGET_EXHAUSTED = "budget_exhausted"
+
+SOUND = "sound"
+UNSOUND = "unsound"
+INDETERMINATE = "indeterminate"
 
 # Paper-scale enumeration budgets: expansions per use case, 2-hour wall clock.
 ENUM_EXPANSIONS_UNSOLVABILITY = 5_000
@@ -38,7 +56,6 @@ MAX_RETAINED_SOLUTIONS = 20
 @dataclass
 class RepairSolution:
     edits: frozenset[ModelEdit]
-    repaired: Model
     total_cost: float
     stats: SearchStats = field(default_factory=SearchStats)
 
@@ -52,10 +69,8 @@ class NoSolution:
 @dataclass
 class _Compiled:
     task: GroundTask
-    edit_actions: list[GroundAction]  # index-aligned with edits/costs
+    edit_actions: list[GroundAction]  # index-aligned with edits
     edits: list[ModelEdit]
-    costs: list[float]
-    other_actions: list[GroundAction]
 
 
 def _normalize_space(space) -> tuple[list[ModelEdit], list[float]]:
@@ -93,31 +108,25 @@ def _compile_edit_search(task: RepairTask, space) -> _Compiled:
         atoms.append(extra)
     e_idx, x_idx = atom_index[editing], atom_index[executing]
 
-    # Preconditions are positive-only, so an edit whose atom appears in no
-    # precondition and not in the goal can never be part of a minimal
-    # solution; dropping such edits (and hallucinated atoms outside the
-    # universe entirely) keeps the branching factor down.
+    # Preconditions are positive-only, so neither a removal nor an addition
+    # whose atom appears in no precondition and not in the goal can be part
+    # of a minimal solution; dropping such edits (and hallucinated atoms
+    # outside the universe entirely) keeps the branching factor down.
     relevant = set(gt.goal)
     for act in gt.actions:
         relevant |= act.pre
 
     edit_actions = []
-    kept_edits, kept_costs = [], []
+    kept_edits = []
     for edit, cost in zip(edits, costs):
         idx = atom_index.get(edit.atom)
-        if idx is None or idx not in relevant:
+        if edit.kind != ADD_INIT or idx is None or idx not in relevant:
             continue
-        i = len(edit_actions)
-        if edit.kind == ADD_INIT:
-            pre, add, dele = frozenset({e_idx}), frozenset({idx}), frozenset()
-        else:
-            pre, add, dele = frozenset({e_idx, idx}), frozenset(), frozenset({idx})
-        edit_actions.append(
-            GroundAction(f"_edit_{i:04d}", (), pre=pre, add=add, dele=dele, cost=cost)
-        )
+        edit_actions.append(GroundAction(
+            f"_edit_{len(edit_actions):04d}", (), pre=frozenset({e_idx}),
+            add=frozenset({idx}), dele=frozenset(), cost=cost,
+        ))
         kept_edits.append(edit)
-        kept_costs.append(cost)
-    edits, costs = kept_edits, kept_costs
 
     end_editing = GroundAction(
         "_end_editing", (), pre=frozenset({e_idx}),
@@ -134,21 +143,22 @@ def _compile_edit_search(task: RepairTask, space) -> _Compiled:
         init=gt.init | {e_idx},
         goal=gt.goal,
     )
-    return _Compiled(compiled_task, edit_actions, edits, costs, [end_editing] + originals)
+    return _Compiled(compiled_task, edit_actions, kept_edits)
 
 
-def _search(comp: _Compiled, budget: Budget, enumerate_all: bool):
-    """Uniform-cost search over (state, applied-edit-set) nodes.
+def _search(comp: _Compiled, budget: Budget):
+    """Uniform-cost enumeration over (state, applied-edit-set) nodes.
 
     Edits are forced into ascending index order so each edit set is explored
     once. Returns (solutions, exhausted, stats): solutions is a list of
-    (edit frozenset, cost); with enumerate_all=False it has at most one entry.
+    (edit frozenset, cost) in the order found.
     """
     task = comp.task
     goal = task.goal
     start = time.monotonic()
     stats = SearchStats()
     n_edits = len(comp.edit_actions)
+    other_actions = task.actions[n_edits:]
 
     root = (task.init, frozenset())
     heap = [(0.0, 0, task.init, frozenset(), -1)]
@@ -171,9 +181,6 @@ def _search(comp: _Compiled, budget: Budget, enumerate_all: bool):
         if goal <= state:
             cached.append(edset)
             cached_costs.append(g)
-            if not enumerate_all:
-                stats.elapsed = time.monotonic() - start
-                return list(zip(cached, cached_costs)), False, stats
             continue
         if stats.expansions >= budget.max_expansions or (
             stats.expansions % 256 == 0
@@ -191,7 +198,7 @@ def _search(comp: _Compiled, budget: Budget, enumerate_all: bool):
                 _push(heap, best, succ, nedset, i, g + act.cost, counter)
                 counter += 1
                 stats.generated += 1
-        for act in comp.other_actions:
+        for act in other_actions:
             if act.pre <= state:
                 succ = (state - act.dele) | act.add
                 _push(heap, best, succ, edset, n_edits, g + act.cost, counter)
@@ -210,31 +217,38 @@ def _push(heap, best, state, edset, max_idx, cost, counter):
         heappush(heap, (cost, counter, state, edset, max_idx))
 
 
-def verify_repair(task: RepairTask, edits, budget: Budget | None = None) -> bool:
-    """Recompute the objective metric on the repaired model."""
+def judge(task: RepairTask, edits, budget: Budget | None = None) -> str:
+    """SOUND, UNSOUND or INDETERMINATE: the objective metric recomputed on
+    the repaired model. A solvability check that runs out of budget proves
+    neither way. Raises PddlError when an edit cannot be applied."""
     repaired = apply_edits(task.base, edits)
     if task.use_case == UNSOLVABILITY:
-        return solve(ground_task(repaired), budget).solved
-    return validate_plan(repaired, task.target_plan).valid
+        status = solve(ground_task(repaired), budget).status
+        return {SOLVED: SOUND, BUDGET_EXHAUSTED: INDETERMINATE}.get(status, UNSOUND)
+    return SOUND if validate_plan(repaired, task.target_plan).valid else UNSOUND
+
+
+def verify_repair(task: RepairTask, edits, budget: Budget | None = None) -> bool:
+    """True iff `judge` finds the repair sound; raises as `judge` does."""
+    return judge(task, edits, budget) == SOUND
 
 
 def repair_min_cost(
     task: RepairTask, space, budget: Budget | None = None
 ) -> RepairSolution | NoSolution:
     """Min-cost sound edit set expressible from `space` (Dijkstra-optimal)."""
-    budget = budget or Budget()
     comp = _compile_edit_search(task, space)
-    solutions, exhausted, stats = _search(comp, budget, enumerate_all=False)
-    if not solutions:
-        reason = PROVEN_INSUFFICIENT if exhausted else BUDGET_EXHAUSTED
-        return NoSolution(reason, stats)
-    edits, cost = solutions[0]
-    repaired = apply_edits(task.base, edits)
-    if not verify_repair(task, edits):
+    verdict = solve(comp.task, budget)
+    if not verdict.solved:
+        reason = PROVEN_INSUFFICIENT if verdict.status == UNSOLVABLE else BUDGET_EXHAUSTED
+        return NoSolution(reason, verdict.stats)
+    edit_of = {act.name: edit for act, edit in zip(comp.edit_actions, comp.edits)}
+    edits = frozenset(edit_of[name] for name, _ in verdict.plan.steps if name in edit_of)
+    if judge(task, edits) != SOUND:
         raise AssertionError(
             "internal invariant violation: search returned an unsound repair"
         )
-    return RepairSolution(edits, repaired, cost, stats)
+    return RepairSolution(edits, verdict.plan.cost, verdict.stats)
 
 
 def enumerate_solutions(
@@ -252,7 +266,7 @@ def enumerate_solutions(
         budget = Budget(max_expansions=expansions, max_seconds=ENUM_MAX_SECONDS)
     uniform = [(e if not isinstance(e, tuple) else e[0], 1.0) for e in space]
     comp = _compile_edit_search(task, uniform)
-    solutions, exhausted, stats = _search(comp, budget, enumerate_all=True)
+    solutions, exhausted, stats = _search(comp, budget)
     if not solutions:
         return NoSolution(
             PROVEN_INSUFFICIENT if exhausted else BUDGET_EXHAUSTED, stats

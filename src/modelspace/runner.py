@@ -10,49 +10,32 @@ from .benchgen import domains
 from .benchgen.io import atomic_write
 from .benchgen.perturb import BenchInstance
 from .edits import (
-    ADD_INIT,
     EXECUTABILITY,
-    REMOVE_INIT,
-    EmptySpace,
     RepairTask,
     build_edit_space,
     edit_from_json,
     edit_to_json,
 )
-from .evalharness import judge_preferred, judge_soundness_detailed
-from .pddl.errors import PddlError
+from .evalharness import judge_preferred
 from .pipelines import POST_PROCESSOR, SearchBudgets, run_pipeline
 
 RECORD_SCHEMA = 1
 
-# Per-domain candidate-edit vocabularies for the combinatorial stages. Each
+# Per-domain candidate-edit predicates for the combinatorial stages. Each
 # keeps the search small while still containing sound repairs (the family
-# predicates plus, where needed, direct goal facts).
-_SPACE_CONFIG = {
-    domains.TRAVEL: (({"has_taxi", "has_bus", "at"}, (ADD_INIT,)),),
-    domains.ROOMBA: (
-        ({"is_clean", "path_is_clear"}, (ADD_INIT,)),
-        ({"chair_blocking_path_between", "table_blocking_path_between"}, (REMOVE_INIT,)),
-    ),
-    domains.BARMAN_SIMPLE: (({"clean", "empty"}, (ADD_INIT,)),),
-    domains.LOGISTICS_SIMPLE: (({"ready"}, (ADD_INIT,)),),
-    domains.LOGISTICS: (({"at_truck", "at_airplane"}, (ADD_INIT,)),),
+# predicates plus, where needed, direct goal facts). The spaces hold
+# additions only, the one edit kind the search uses.
+_SPACE_PREDICATES = {
+    domains.TRAVEL: {"has_taxi", "has_bus", "at"},
+    domains.ROOMBA: {"is_clean", "path_is_clear"},
+    domains.BARMAN_SIMPLE: {"clean", "empty"},
+    domains.LOGISTICS_SIMPLE: {"ready"},
+    domains.LOGISTICS: {"at_truck", "at_airplane"},
 }
 
 
 def default_edit_space(domain_kind: str, model):
-    groups = _SPACE_CONFIG.get(domain_kind)
-    if groups is None:
-        return build_edit_space(model)
-    space = []
-    for predicates, kinds in groups:
-        try:
-            space.extend(build_edit_space(model, predicates=predicates, kinds=kinds))
-        except EmptySpace:
-            pass
-    if not space:
-        raise EmptySpace(f"no candidate edits for '{domain_kind}' instance")
-    return space
+    return build_edit_space(model, predicates=_SPACE_PREDICATES.get(domain_kind))
 
 
 def task_for(inst: BenchInstance, use_case: str) -> RepairTask:
@@ -73,15 +56,8 @@ def run_instance(
     if pipeline == POST_PROCESSOR:
         kwargs["space"] = default_edit_space(inst.domain_kind, inst.perturbed)
     outcome = run_pipeline(pipeline, task, provider, cfg, **kwargs)
-
-    sound, indeterminate = outcome.sound, False
-    if outcome.edits is not None:
-        try:
-            sound, indeterminate = judge_soundness_detailed(task, outcome.edits)
-        except PddlError:
-            sound, indeterminate = False, False
     preferred = bool(
-        sound
+        outcome.sound
         and outcome.edits
         and judge_preferred(outcome.edits, inst.family, inst.perturbed)
     )
@@ -93,8 +69,8 @@ def run_instance(
         "use_case": use_case,
         "provider": outcome.provider,
         "edits": None if outcome.edits is None else [edit_to_json(e) for e in sorted(outcome.edits)],
-        "sound": sound,
-        "indeterminate": indeterminate,
+        "sound": outcome.sound,
+        "indeterminate": outcome.indeterminate,
         "preferred": preferred,
         "failure": outcome.failure,
         "edit_size": inst.k,

@@ -11,13 +11,13 @@ from modelspace.evalharness import (
     aggregate,
     emit_fig_data,
     judge_preferred,
-    judge_soundness,
-    judge_soundness_detailed,
     render_report_md,
 )
 from modelspace.benchgen import family_for
 from modelspace.pddl import GroundAtom
+from modelspace.pddl.errors import PddlError
 from modelspace.planner import Budget
+from modelspace.repair import INDETERMINATE, SOUND, UNSOUND, judge
 
 
 def rec(iid="i1", domain="travel", pipeline="llm_only", use_case="unsolvability",
@@ -36,16 +36,19 @@ class TestJudging:
         task = RepairTask(t2, UNSOLVABILITY)
         good = {ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))}
         bad = {ModelEdit(ADD_INIT, GroundAtom("has_bus", ("c", "b")))}
-        assert judge_soundness(task, good)
-        assert not judge_soundness(task, bad)
+        assert judge(task, good) == SOUND
+        assert judge(task, bad) == UNSOUND
 
     def test_indeterminate_on_budget_exhaustion(self, t2):
         task = RepairTask(t2, UNSOLVABILITY)
         good = {ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))}
-        sound, indeterminate = judge_soundness_detailed(
-            task, good, Budget(max_expansions=1)
-        )
-        assert not sound and indeterminate
+        assert judge(task, good, Budget(max_expansions=1)) == INDETERMINATE
+
+    def test_stale_edit_raises(self, t2):
+        task = RepairTask(t2, UNSOLVABILITY)
+        already_true = {ModelEdit(ADD_INIT, GroundAtom("at", ("a",)))}
+        with pytest.raises(PddlError):
+            judge(task, already_true)
 
     def test_preferred_requires_family_membership(self, t2):
         fam = family_for("travel_services")

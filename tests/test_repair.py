@@ -104,6 +104,20 @@ class TestMinCost:
         )
         assert sol.total_cost == 1
 
+    def test_removals_in_space_are_never_used(self, t2):
+        """Growing the initial state is monotone, so the minimum over a space
+        mixing additions and removals is the brute-force one and adds only."""
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = build_edit_space(
+            t2, predicates={"has_taxi", "has_bus", "at"}, kinds=(ADD_INIT, REMOVE_INIT)
+        )
+        assert any(e.kind == REMOVE_INIT for e in space)
+        sol = repair_min_cost(task, [(e, 1.0) for e in space])
+        oracle = brute_force_min_sets(task, space, max_size=2)
+        assert sol.total_cost == min(len(s) for s in oracle)
+        assert sol.edits in oracle
+        assert all(e.kind == ADD_INIT for e in sol.edits)
+
     def test_insufficient_space_proven(self, t2):
         # only removals available: deleting facts cannot make t2 solvable
         task = RepairTask(t2, UNSOLVABILITY)

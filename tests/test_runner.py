@@ -3,8 +3,9 @@ provider standing in for a real LLM."""
 
 import pytest
 
+from modelspace import pipelines, repair
 from modelspace.benchgen import make_instance
-from modelspace.edits import ADD_INIT, REMOVE_INIT
+from modelspace.edits import ADD_INIT
 from modelspace.llm import ProviderConfig
 from modelspace.oracle import OracleProvider
 from modelspace.runner import (
@@ -83,6 +84,24 @@ class TestRunInstance:
         )
         assert {e.atom for e in edits} == set(travel_inst.deleted_facts)
 
+    @pytest.mark.parametrize("pipeline", ["llm_only", "post_processor", "pre_processor"])
+    @pytest.mark.parametrize("use_case", ["unsolvability", "executability"])
+    def test_each_record_judged_once(self, travel_inst, pipeline, use_case, monkeypatch):
+        real_judge = repair.judge
+        judged = []
+
+        def counting_judge(task, edits, budget=None):
+            judged.append(edits)
+            return real_judge(task, edits, budget)
+
+        for module in (repair, pipelines):
+            monkeypatch.setattr(module, "judge", counting_judge)
+        record = run_instance(
+            travel_inst, pipeline, use_case, OracleProvider(travel_inst), CFG
+        )
+        assert record["sound"] is True
+        assert len(judged) == 1
+
     def test_soundness_rejudged_independently(self, travel_inst):
         """A provider that replies with prose produces a failed record, not a
         crash, and the verdict fields stay false."""
@@ -105,16 +124,12 @@ class TestEditSpaces:
         atoms = {e.atom for e in space}
         assert set(travel_inst.deleted_facts) <= atoms
 
-    def test_roomba_space_includes_obstacle_removals(self, roomba_inst):
+    def test_roomba_space_adds_only(self, roomba_inst):
         space = default_edit_space("roomba", roomba_inst.perturbed)
-        kinds = {e.kind for e in space}
-        assert ADD_INIT in kinds
-        removable_preds = {
-            e.atom.predicate for e in space if e.kind == REMOVE_INIT
-        }
-        assert removable_preds <= {
-            "chair_blocking_path_between", "table_blocking_path_between"
-        }
+        assert all(e.kind == ADD_INIT for e in space)
+        assert {e.atom.predicate for e in space} <= {"is_clean", "path_is_clear"}
+        atoms = {e.atom for e in space}
+        assert set(roomba_inst.deleted_facts) <= atoms
 
 
 class TestRunBench:
