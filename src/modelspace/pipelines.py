@@ -47,7 +47,6 @@ class PipelineOutcome:
     edits: frozenset | None = None
     sound: bool = False
     indeterminate: bool = False  # the soundness check ran out of budget
-    preferred: bool = False
     failure: str | None = None  # e.g. "no_solution:budget_exhausted"
     prompt: str = ""
     response: str = ""

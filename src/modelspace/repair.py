@@ -4,7 +4,9 @@ Both entry points compile candidate initial-state additions into
 zero-parameter actions that are only applicable in an initial "editing"
 phase. Min-cost repair runs `planner.solve` on the compiled task: the edit
 actions of the plan are the repair. Enumeration runs `_search`, which keeps
-the applied edit set in each node so it can go on past the first solution.
+the applied edit set in each node so it can go on past the first solution;
+its nodes are int bitmasks over atom and edit indices, keyed on one packed
+int, and edit sets are decoded to `ModelEdit`s only when it returns.
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a
 fact.
@@ -15,6 +17,7 @@ before it is handed back.
 """
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -38,6 +41,8 @@ from .planner import (
     solve,
     validate_plan,
 )
+
+logger = logging.getLogger(__name__)
 
 PROVEN_INSUFFICIENT = "proven_insufficient"
 
@@ -149,36 +154,53 @@ def _compile_edit_search(task: RepairTask, space) -> _Compiled:
 def _search(comp: _Compiled, budget: Budget):
     """Uniform-cost enumeration over (state, applied-edit-set) nodes.
 
-    Edits are forced into ascending index order so each edit set is explored
-    once. Returns (solutions, exhausted, stats): solutions is a list of
-    (edit frozenset, cost) in the order found.
+    A state is an int bitmask over atom indices and an edit set an int
+    bitmask over edit indices; `best` and `closed` key a node on the single
+    int ``state | edset << len(task.atoms)``. Edits are forced into ascending
+    index order so each edit set is explored once. Returns (solutions,
+    exhausted, stats): solutions is a list of (edit frozenset, cost) in the
+    order found, decoded from their masks on return.
     """
     task = comp.task
-    goal = task.goal
     start = time.monotonic()
     stats = SearchStats()
     n_edits = len(comp.edit_actions)
-    other_actions = task.actions[n_edits:]
+    shift = len(task.atoms)
+    # (pre, add, keep, cost): applicable when pre & s == pre, successor
+    # (s & keep) | add
+    actions = [
+        (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost) for a in task.actions
+    ]
+    edit_actions, other_actions = actions[:n_edits], actions[n_edits:]
+    goal = _mask(task.goal)
+    init = _mask(task.init)
 
-    root = (task.init, frozenset())
-    heap = [(0.0, 0, task.init, frozenset(), -1)]
-    best = {root: 0.0}
+    heap = [(0.0, 0, init, 0, -1)]
+    best = {init: 0.0}
     closed = set()
     counter = 1
-    cached: list[frozenset] = []
+    cached: list[int] = []
     cached_costs: list[float] = []
+
+    def result(exhausted):
+        stats.elapsed = time.monotonic() - start
+        solutions = [
+            (frozenset(e for i, e in enumerate(comp.edits) if edset >> i & 1), g)
+            for edset, g in zip(cached, cached_costs)
+        ]
+        return solutions, exhausted, stats
 
     while heap:
         g, _, state, edset, max_idx = heappop(heap)
-        key = (state, edset)
+        key = state | (edset << shift)
         if key in closed:
             continue
         closed.add(key)
         # supersets (and duplicates) of cached solutions cannot yield new
         # minimal solutions
-        if any(c <= edset for c in cached):
+        if any(c & edset == c for c in cached):
             continue
-        if goal <= state:
+        if goal & state == goal:
             cached.append(edset)
             cached_costs.append(g)
             continue
@@ -186,35 +208,43 @@ def _search(comp: _Compiled, budget: Budget):
             stats.expansions % 256 == 0
             and time.monotonic() - start > budget.max_seconds
         ):
-            stats.elapsed = time.monotonic() - start
-            return list(zip(cached, cached_costs)), False, stats
+            return result(False)
         stats.expansions += 1
 
         for i in range(max_idx + 1, n_edits):
-            act = comp.edit_actions[i]
-            if act.pre <= state:
-                succ = (state - act.dele) | act.add
-                nedset = edset | {comp.edits[i]}
-                _push(heap, best, succ, nedset, i, g + act.cost, counter)
+            pre, add, keep, cost = edit_actions[i]
+            if pre & state == pre:
+                succ = (state & keep) | add
+                nedset = edset | (1 << i)
+                ng = g + cost
+                nkey = succ | (nedset << shift)
+                old = best.get(nkey)
+                if old is None or ng < old:
+                    best[nkey] = ng
+                    heappush(heap, (ng, counter, succ, nedset, i))
                 counter += 1
                 stats.generated += 1
-        for act in other_actions:
-            if act.pre <= state:
-                succ = (state - act.dele) | act.add
-                _push(heap, best, succ, edset, n_edits, g + act.cost, counter)
+        edkey = edset << shift
+        for pre, add, keep, cost in other_actions:
+            if pre & state == pre:
+                succ = (state & keep) | add
+                ng = g + cost
+                nkey = succ | edkey
+                old = best.get(nkey)
+                if old is None or ng < old:
+                    best[nkey] = ng
+                    heappush(heap, (ng, counter, succ, edset, n_edits))
                 counter += 1
                 stats.generated += 1
 
-    stats.elapsed = time.monotonic() - start
-    return list(zip(cached, cached_costs)), True, stats
+    return result(True)
 
 
-def _push(heap, best, state, edset, max_idx, cost, counter):
-    key = (state, edset)
-    old = best.get(key)
-    if old is None or cost < old:
-        best[key] = cost
-        heappush(heap, (cost, counter, state, edset, max_idx))
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 def judge(task: RepairTask, edits, budget: Budget | None = None) -> str:
@@ -267,6 +297,12 @@ def enumerate_solutions(
     uniform = [(e if not isinstance(e, tuple) else e[0], 1.0) for e in space]
     comp = _compile_edit_search(task, uniform)
     solutions, exhausted, stats = _search(comp, budget)
+    if not exhausted:
+        logger.debug(
+            "enumeration stopped at budget: %d expansions, %d generated, "
+            "%.3f s, %d solutions found",
+            stats.expansions, stats.generated, stats.elapsed, len(solutions),
+        )
     if not solutions:
         return NoSolution(
             PROVEN_INSUFFICIENT if exhausted else BUDGET_EXHAUSTED, stats

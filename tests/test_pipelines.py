@@ -49,7 +49,7 @@ class TestLlmOnly:
     def test_useless_fix_unsound(self, t2):
         out = run_pipeline(LLM_ONLY, t2_task(t2), scripted("(has_bus c a)"), CFG)
         assert out.failure is None
-        assert not out.sound and not out.preferred
+        assert not out.sound
 
     def test_hallucinated_atom_unsound_not_crash(self, t2):
         out = run_pipeline(LLM_ONLY, t2_task(t2), scripted("(warp_drive b c)"), CFG)

@@ -1,10 +1,12 @@
 """Repair search correctness against a brute-force subset oracle."""
 
 import itertools
+import logging
 
 import pytest
 
 from conftest import load_plan
+from modelspace.benchgen.corpus import generate_corpus
 from modelspace.edits import (
     ADD_INIT,
     REMOVE_INIT,
@@ -22,10 +24,15 @@ from modelspace.repair import (
     MAX_RETAINED_SOLUTIONS,
     NoSolution,
     PROVEN_INSUFFICIENT,
+    SOUND,
+    _compile_edit_search,
+    _search,
     enumerate_solutions,
+    judge,
     repair_min_cost,
     verify_repair,
 )
+from modelspace.runner import default_edit_space
 
 
 def brute_force_min_sets(task, space, max_size=3):
@@ -195,6 +202,68 @@ class TestEnumeration:
         out = enumerate_solutions(task, space)
         assert isinstance(out, NoSolution)
         assert out.reason == PROVEN_INSUFFICIENT
+
+
+class TestWideSpaces:
+    """Edit spaces of more than 64 kept edits, so an edit set spans more than
+    one machine word."""
+
+    @staticmethod
+    def corpus_task(kind, seed, **size):
+        inst = generate_corpus([kind], 1, seed=seed, **size)[0]
+        return RepairTask(inst.perturbed, UNSOLVABILITY), default_edit_space(
+            kind, inst.perturbed
+        )
+
+    @pytest.mark.parametrize("kind, size, kept, generated, found", [
+        ("roomba", {"rows": 3, "cols": 3}, 69, 54598, [
+            (["(+ (is_clean cell_0_2))"], 1.0),
+            (["(+ (path_is_clear cell_1_2 cell_0_2))"], 1.0),
+        ]),
+        ("travel", {"n_cities": 6}, 73, 62985, [
+            (["(+ (at city_b))"], 1.0),
+            (["(+ (has_bus city_e city_b))"], 1.0),
+            (["(+ (has_taxi city_e city_b))"], 1.0),
+            (["(+ (at city_a))", "(+ (has_bus city_a city_b))"], 2.0),
+        ]),
+    ])
+    def test_search_work_is_pinned(self, kind, size, kept, generated, found):
+        """Expansions, generated nodes, the exhausted flag and the solutions
+        in the order found, at the paper's unsolvability budget."""
+        task, space = self.corpus_task(kind, 2, **size)
+        comp = _compile_edit_search(task, [(e, 1.0) for e in space])
+        assert len(comp.edits) == kept
+        solutions, exhausted, stats = _search(comp, Budget(5000, 7200.0))
+        assert (stats.expansions, stats.generated, exhausted) == (5000, generated, False)
+        assert all(isinstance(s, frozenset) for s, _ in solutions)
+        assert [(sorted(map(str, s)), c) for s, c in solutions] == found
+
+    def test_enumerated_options_are_minimal_sound_ordered_and_capped(self):
+        task, space = self.corpus_task("travel", 1, n_cities=7)
+        assert len(_compile_edit_search(task, space).edits) > 64
+        options = enumerate_solutions(task, space)
+        assert len(options) == MAX_RETAINED_SOLUTIONS  # the cap binds here
+        assert options == sorted(options, key=lambda s: (len(s), sorted(s)))
+        for s in options:
+            assert isinstance(s, frozenset)
+            assert all(isinstance(e, ModelEdit) and e in space for e in s)
+            assert judge(task, s) == SOUND
+            assert all(judge(task, s - {e}) != SOUND for e in s)
+
+    def test_truncated_enumeration_is_logged(self, t2, caplog):
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
+        removals = build_edit_space(t2, predicates={"has_taxi"}, kinds=(REMOVE_INIT,))
+        with caplog.at_level(logging.DEBUG, logger="modelspace.repair"):
+            enumerate_solutions(task, removals)  # complete: proven insufficient
+            assert not caplog.records
+            out = enumerate_solutions(task, space, Budget(max_expansions=100))
+        assert isinstance(out, list)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.name == "modelspace.repair"
+        assert "stopped at budget: 100 expansions" in record.getMessage()
+        assert record.getMessage().endswith(f"{len(out)} solutions found")
 
 
 class TestSearchIsExact:
