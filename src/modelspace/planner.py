@@ -43,6 +43,12 @@ class Plan:
 
 @dataclass
 class SearchStats:
+    """Work one search did. `expansions` counts nodes expanded. What
+    `generated` counts depends on the search: `solve` counts pushes that
+    lower a state's cost; `repair._search` counts every applicable
+    successor, pushed or not, including edit children its lazy fan-out has
+    reserved but not yet materialised."""
+
     expansions: int = 0
     generated: int = 0
     elapsed: float = 0.0

@@ -7,6 +7,11 @@ actions of the plan are the repair. Enumeration runs `_search`, which keeps
 the applied edit set in each node so it can go on past the first solution;
 its nodes are int bitmasks over atom and edit indices, keyed on one packed
 int, and edit sets are decoded to `ModelEdit`s only when it returns.
+It needs one cost for every edit: an editing node's edit children are
+then pushed one at a time (partial expansion, as in EPEA*), and an
+executing node tries only the original actions whose watched precondition
+atom it holds (a successor index, as in Fast Downward). Both keep the
+expansion order of a search that pushes every child and scans every action.
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a
 fact.
@@ -73,9 +78,14 @@ class NoSolution:
 
 @dataclass
 class _Compiled:
+    """Task actions are the edit actions, then ``_end_editing``, then the
+    original actions; `editing` and `executing` index the phase atoms."""
+
     task: GroundTask
     edit_actions: list[GroundAction]  # index-aligned with edits
     edits: list[ModelEdit]
+    editing: int
+    executing: int
 
 
 def _normalize_space(space) -> tuple[list[ModelEdit], list[float]]:
@@ -148,7 +158,7 @@ def _compile_edit_search(task: RepairTask, space) -> _Compiled:
         init=gt.init | {e_idx},
         goal=gt.goal,
     )
-    return _Compiled(compiled_task, edit_actions, kept_edits)
+    return _Compiled(compiled_task, edit_actions, kept_edits, e_idx, x_idx)
 
 
 def _search(comp: _Compiled, budget: Budget):
@@ -160,23 +170,41 @@ def _search(comp: _Compiled, budget: Budget):
     index order so each edit set is explored once. Returns (solutions,
     exhausted, stats): solutions is a list of (edit frozenset, cost) in the
     order found, decoded from their masks on return.
+
+    An editing-phase node has one state per edit set and one path to it, so
+    it needs no `best` or `closed` entry. Its edit children all cost the
+    same (a ValueError otherwise) and take consecutive counters, so they are
+    fanned out lazily: one heap entry ``(g, counter, state, edset, i)`` with
+    ``i >= 0`` stands for child i of the node (state, edset), and popping it
+    pushes child i + 1 with the next counter before child i is
+    materialised. Nothing can pop between two siblings, so the nodes pop in
+    the order an eager push of all children gives, with the same counters
+    and the same `stats.generated`. In the executing phase only original
+    actions can fire, and they are looked up by their watched atoms (see
+    `_successor_index`); in the editing phase only the edits and
+    ``_end_editing`` can.
     """
     task = comp.task
     start = time.monotonic()
     stats = SearchStats()
     n_edits = len(comp.edit_actions)
+    costs = {a.cost for a in comp.edit_actions}
+    if len(costs) > 1:
+        raise ValueError(
+            "repair enumeration needs one cost for every edit (lazy edit "
+            f"fan-out relies on it), got costs {sorted(costs)}"
+        )
+    edit_cost = costs.pop() if costs else 0.0
+    edit_adds = [_mask(a.add) for a in comp.edit_actions]
+    editing, executing = 1 << comp.editing, 1 << comp.executing
+    watched, candidates = _successor_index(
+        task.actions[n_edits + 1:], comp.executing
+    )
     shift = len(task.atoms)
-    # (pre, add, keep, cost): applicable when pre & s == pre, successor
-    # (s & keep) | add
-    actions = [
-        (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost) for a in task.actions
-    ]
-    edit_actions, other_actions = actions[:n_edits], actions[n_edits:]
     goal = _mask(task.goal)
-    init = _mask(task.init)
 
-    heap = [(0.0, 0, init, 0, -1)]
-    best = {init: 0.0}
+    heap = [(0.0, 0, _mask(task.init), 0, -1)]
+    best = {}
     closed = set()
     counter = 1
     cached: list[int] = []
@@ -191,11 +219,18 @@ def _search(comp: _Compiled, budget: Budget):
         return solutions, exhausted, stats
 
     while heap:
-        g, _, state, edset, max_idx = heappop(heap)
-        key = state | (edset << shift)
-        if key in closed:
-            continue
-        closed.add(key)
+        g, tie, state, edset, i = heappop(heap)
+        if i >= 0:  # edit child i of (state, edset)
+            if i + 1 < n_edits:
+                heappush(heap, (g, tie + 1, state, edset, i + 1))
+            state |= edit_adds[i]
+            edset |= 1 << i
+        edkey = edset << shift
+        if not state & editing:  # an editing node is reached only once
+            key = state | edkey
+            if key in closed:
+                continue
+            closed.add(key)
         # supersets (and duplicates) of cached solutions cannot yield new
         # minimal solutions
         if any(c & edset == c for c in cached):
@@ -211,33 +246,65 @@ def _search(comp: _Compiled, budget: Budget):
             return result(False)
         stats.expansions += 1
 
-        for i in range(max_idx + 1, n_edits):
-            pre, add, keep, cost = edit_actions[i]
-            if pre & state == pre:
-                succ = (state & keep) | add
-                nedset = edset | (1 << i)
-                ng = g + cost
-                nkey = succ | (nedset << shift)
-                old = best.get(nkey)
-                if old is None or ng < old:
-                    best[nkey] = ng
-                    heappush(heap, (ng, counter, succ, nedset, i))
-                counter += 1
-                stats.generated += 1
-        edkey = edset << shift
-        for pre, add, keep, cost in other_actions:
-            if pre & state == pre:
-                succ = (state & keep) | add
-                ng = g + cost
-                nkey = succ | edkey
-                old = best.get(nkey)
-                if old is None or ng < old:
-                    best[nkey] = ng
-                    heappush(heap, (ng, counter, succ, edset, n_edits))
-                counter += 1
-                stats.generated += 1
+        if state & editing:
+            fan_out = n_edits - 1 - i
+            if fan_out:
+                heappush(heap, (g + edit_cost, counter, state, edset, i + 1))
+                counter += fan_out
+                stats.generated += fan_out
+            # `_end_editing` costs nothing
+            successors = (((state & ~editing) | executing, g),)
+        else:
+            successors = [
+                ((state & keep) | add, g + cost)
+                for pre, add, keep, cost in candidates(state & watched)
+                if pre & state == pre
+            ]
+        for succ, ng in successors:
+            nkey = succ | edkey
+            old = best.get(nkey)
+            if old is None or ng < old:
+                best[nkey] = ng
+                heappush(heap, (ng, counter, succ, edset, -1))
+            counter += 1
+            stats.generated += 1
 
     return result(True)
+
+
+def _successor_index(originals, executing: int):
+    """Index the original actions by one watched precondition atom each.
+
+    An action watches an atom of its precondition that some original action
+    deletes where it has one (such as ``at(c)``, true in few states), else
+    any precondition atom but the executing phase's; one with no
+    precondition besides the phase watches nothing and is always a
+    candidate. Returns (watched, candidates): `watched` masks every watched
+    atom, and ``candidates(state & watched)`` lists, in action order, the
+    ``(pre, add, keep, cost)`` of each action that watches nothing or an atom
+    in the state; each list is built once per set of true watched atoms.
+    Action order keeps the counters, and so the tie-breaking, of a scan
+    over all actions.
+    """
+    deleted = set().union(*(a.dele for a in originals))
+    indexed = []
+    watched = 0
+    for a in originals:
+        own = a.pre - {executing}
+        watch = _mask([min(own, key=lambda j: (j not in deleted, j))] if own else ())
+        watched |= watch
+        indexed.append((watch, (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost)))
+    by_fired: dict[int, list] = {}
+
+    def candidates(fired):
+        found = by_fired.get(fired)
+        if found is None:
+            found = by_fired[fired] = [
+                action for watch, action in indexed if watch & fired == watch
+            ]
+        return found
+
+    return watched, candidates
 
 
 def _mask(indices) -> int:
@@ -298,16 +365,22 @@ def enumerate_solutions(
     comp = _compile_edit_search(task, uniform)
     solutions, exhausted, stats = _search(comp, budget)
     if not exhausted:
+        if stats.expansions >= budget.max_expansions:
+            limit = f"expansion limit {budget.max_expansions}"
+        else:
+            limit = f"wall-clock limit {budget.max_seconds:g} s"
         logger.debug(
             "enumeration stopped at budget: %d expansions, %d generated, "
-            "%.3f s, %d solutions found",
-            stats.expansions, stats.generated, stats.elapsed, len(solutions),
+            "%.3f s; %s reached; %d edits kept, %d solutions found",
+            stats.expansions, stats.generated, stats.elapsed, limit,
+            len(comp.edits), len(solutions),
         )
     if not solutions:
         return NoSolution(
             PROVEN_INSUFFICIENT if exhausted else BUDGET_EXHAUSTED, stats
         )
-    sets = [s for s, _ in solutions]
-    minimal = [s for s in sets if not any(o < s for o in sets)]
-    minimal.sort(key=lambda s: (len(s), sorted(s)))
-    return minimal[:MAX_RETAINED_SOLUTIONS]
+    # Under unit costs `_search` pops nodes in non-decreasing cardinality and
+    # prunes supersets of found sets on pop, so no solution is a strict
+    # superset of another: every set found is minimal.
+    sets = sorted((s for s, _ in solutions), key=lambda s: (len(s), sorted(s)))
+    return sets[:MAX_RETAINED_SOLUTIONS]

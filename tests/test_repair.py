@@ -2,6 +2,8 @@
 
 import itertools
 import logging
+import time
+from heapq import heappop, heappush
 
 import pytest
 
@@ -17,8 +19,14 @@ from modelspace.edits import (
     assign_rank_costs,
     build_edit_space,
 )
-from modelspace.pddl import GroundAtom, ground_task
-from modelspace.planner import Budget, solve
+from modelspace.pddl import (
+    GroundAtom,
+    Model,
+    ground_task,
+    parse_domain,
+    parse_problem,
+)
+from modelspace.planner import Budget, SearchStats, solve
 from modelspace.repair import (
     BUDGET_EXHAUSTED,
     MAX_RETAINED_SOLUTIONS,
@@ -26,7 +34,9 @@ from modelspace.repair import (
     PROVEN_INSUFFICIENT,
     SOUND,
     _compile_edit_search,
+    _mask,
     _search,
+    _successor_index,
     enumerate_solutions,
     judge,
     repair_min_cost,
@@ -46,6 +56,96 @@ def brute_force_min_sets(task, space, max_size=3):
             if verify_repair(task, edset):
                 sound.append(edset)
     return sound
+
+
+def eager_search(comp, budget):
+    """Reference for `_search`: the same uniform-cost enumeration without
+    lazy edit fan-out or a successor index. Every node scans every compiled
+    action and pushes each applicable successor that lowers its key's cost."""
+    task = comp.task
+    start = time.monotonic()
+    stats = SearchStats()
+    n_edits = len(comp.edit_actions)
+    shift = len(task.atoms)
+    actions = [
+        (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost) for a in task.actions
+    ]
+    edit_actions, other_actions = actions[:n_edits], actions[n_edits:]
+    goal = _mask(task.goal)
+    init = _mask(task.init)
+    heap = [(0.0, 0, init, 0, -1)]
+    best = {init: 0.0}
+    closed = set()
+    counter = 1
+    cached, cached_costs = [], []
+
+    def result(exhausted):
+        solutions = [
+            (frozenset(e for i, e in enumerate(comp.edits) if edset >> i & 1), g)
+            for edset, g in zip(cached, cached_costs)
+        ]
+        return solutions, exhausted, stats
+
+    while heap:
+        g, _, state, edset, max_idx = heappop(heap)
+        key = state | (edset << shift)
+        if key in closed:
+            continue
+        closed.add(key)
+        if any(c & edset == c for c in cached):
+            continue
+        if goal & state == goal:
+            cached.append(edset)
+            cached_costs.append(g)
+            continue
+        if stats.expansions >= budget.max_expansions or (
+            stats.expansions % 256 == 0
+            and time.monotonic() - start > budget.max_seconds
+        ):
+            return result(False)
+        stats.expansions += 1
+        for i in range(max_idx + 1, n_edits):
+            pre, add, keep, cost = edit_actions[i]
+            if pre & state == pre:
+                succ = (state & keep) | add
+                nedset = edset | (1 << i)
+                ng = g + cost
+                nkey = succ | (nedset << shift)
+                old = best.get(nkey)
+                if old is None or ng < old:
+                    best[nkey] = ng
+                    heappush(heap, (ng, counter, succ, nedset, i))
+                counter += 1
+                stats.generated += 1
+        edkey = edset << shift
+        for pre, add, keep, cost in other_actions:
+            if pre & state == pre:
+                succ = (state & keep) | add
+                ng = g + cost
+                nkey = succ | edkey
+                old = best.get(nkey)
+                if old is None or ng < old:
+                    best[nkey] = ng
+                    heappush(heap, (ng, counter, succ, edset, n_edits))
+                counter += 1
+                stats.generated += 1
+    return result(True)
+
+
+def search_outcome(result):
+    solutions, exhausted, stats = result
+    return solutions, exhausted, stats.expansions, stats.generated
+
+
+def corpus_task(kind, seed, **size):
+    inst = generate_corpus([kind], 1, seed=seed, **size)[0]
+    return RepairTask(inst.perturbed, UNSOLVABILITY), default_edit_space(
+        kind, inst.perturbed
+    )
+
+
+def unit(space):
+    return [(e, 1.0) for e in space]
 
 
 class TestVerifyRepair:
@@ -208,13 +308,6 @@ class TestWideSpaces:
     """Edit spaces of more than 64 kept edits, so an edit set spans more than
     one machine word."""
 
-    @staticmethod
-    def corpus_task(kind, seed, **size):
-        inst = generate_corpus([kind], 1, seed=seed, **size)[0]
-        return RepairTask(inst.perturbed, UNSOLVABILITY), default_edit_space(
-            kind, inst.perturbed
-        )
-
     @pytest.mark.parametrize("kind, size, kept, generated, found", [
         ("roomba", {"rows": 3, "cols": 3}, 69, 54598, [
             (["(+ (is_clean cell_0_2))"], 1.0),
@@ -230,8 +323,8 @@ class TestWideSpaces:
     def test_search_work_is_pinned(self, kind, size, kept, generated, found):
         """Expansions, generated nodes, the exhausted flag and the solutions
         in the order found, at the paper's unsolvability budget."""
-        task, space = self.corpus_task(kind, 2, **size)
-        comp = _compile_edit_search(task, [(e, 1.0) for e in space])
+        task, space = corpus_task(kind, 2, **size)
+        comp = _compile_edit_search(task, unit(space))
         assert len(comp.edits) == kept
         solutions, exhausted, stats = _search(comp, Budget(5000, 7200.0))
         assert (stats.expansions, stats.generated, exhausted) == (5000, generated, False)
@@ -239,7 +332,7 @@ class TestWideSpaces:
         assert [(sorted(map(str, s)), c) for s, c in solutions] == found
 
     def test_enumerated_options_are_minimal_sound_ordered_and_capped(self):
-        task, space = self.corpus_task("travel", 1, n_cities=7)
+        task, space = corpus_task("travel", 1, n_cities=7)
         assert len(_compile_edit_search(task, space).edits) > 64
         options = enumerate_solutions(task, space)
         assert len(options) == MAX_RETAINED_SOLUTIONS  # the cap binds here
@@ -263,7 +356,133 @@ class TestWideSpaces:
         assert record.levelno == logging.DEBUG
         assert record.name == "modelspace.repair"
         assert "stopped at budget: 100 expansions" in record.getMessage()
+        assert "expansion limit 100 reached" in record.getMessage()
+        kept = len(_compile_edit_search(task, space).edits)
+        assert f"{kept} edits kept" in record.getMessage()
         assert record.getMessage().endswith(f"{len(out)} solutions found")
+
+    def test_wall_clock_truncation_is_logged(self, t2, caplog):
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
+        with caplog.at_level(logging.DEBUG, logger="modelspace.repair"):
+            out = enumerate_solutions(task, space, Budget(max_seconds=-1.0))
+        assert isinstance(out, NoSolution) and out.reason == BUDGET_EXHAUSTED
+        [record] = caplog.records
+        message = record.getMessage()
+        assert message.startswith("enumeration stopped at budget: 0 expansions")
+        assert "wall-clock limit -1 s reached" in message
+        assert "expansion limit" not in message
+        kept = len(_compile_edit_search(task, space).edits)
+        assert message.endswith(f"{kept} edits kept, 0 solutions found")
+
+
+class TestLazySearchIsExact:
+    """`_search` against `eager_search`: the same solutions in the same
+    order, the same exhausted flag and the same expansion and generated
+    counts."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 37, 100, 5000])
+    @pytest.mark.parametrize("kind, size", [
+        ("roomba", {"rows": 3, "cols": 3}),
+        ("travel", {"n_cities": 6}),
+    ])
+    def test_wide_corpus_spaces(self, kind, size, budget):
+        """Budgets that stop the search in the first fan-out, a few nodes
+        into it, and after many fan-outs; more than 64 edits."""
+        task, space = corpus_task(kind, 2, **size)
+        comp = _compile_edit_search(task, unit(space))
+        assert len(comp.edits) > 64
+        b = Budget(budget, 7200.0)
+        assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
+
+    @pytest.mark.parametrize("budget", [3, 100, 5000])
+    def test_t2(self, t2, budget):
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
+        comp = _compile_edit_search(task, unit(space))
+        b = Budget(budget, 7200.0)
+        assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
+
+    def test_executability_compilation(self, travel_exec_model):
+        plan = load_plan("d5_plan.txt")
+        task = RepairTask(travel_exec_model, EXECUTABILITY, plan)
+        space = build_edit_space(travel_exec_model, predicates={"has_bus", "has_taxi"})
+        comp = _compile_edit_search(task, unit(space))
+        b = Budget(10_000, 7200.0)
+        outcome = search_outcome(_search(comp, b))
+        assert outcome == search_outcome(eager_search(comp, b))
+        assert outcome[0]  # it finds repairs
+
+    def test_refuses_unequal_edit_costs(self, t2):
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = build_edit_space(t2, predicates={"has_taxi", "has_bus"})
+        comp = _compile_edit_search(task, [(e, 1.0 + i % 2) for i, e in enumerate(space)])
+        with pytest.raises(ValueError, match="one cost for every edit"):
+            _search(comp, Budget())
+
+
+class TestSuccessorIndex:
+    @staticmethod
+    def originals(comp):
+        return comp.task.actions[len(comp.edits) + 1:]
+
+    def test_two_watched_atoms_true_at_once(self, t2):
+        """An `at` edit makes two `at` atoms true, so the candidates of both
+        watched atoms are merged, in action order."""
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
+        comp = _compile_edit_search(task, unit(space))
+        assert ModelEdit(ADD_INIT, GroundAtom("at", ("b",))) in comp.edits
+        watched, candidates = _successor_index(self.originals(comp), comp.executing)
+        at_a, at_b = (
+            1 << comp.task.atom_index[GroundAtom("at", (c,))] for c in "ab"
+        )
+        assert at_a & watched and at_b & watched
+        merged = candidates(at_a | at_b)
+        assert merged == [
+            act for act in candidates(watched)
+            if act in candidates(at_a) or act in candidates(at_b)
+        ]
+        assert set(candidates(at_a)) < set(merged) > set(candidates(at_b))
+        b = Budget(5000, 7200.0)
+        assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
+
+    def test_action_without_preconditions_is_always_a_candidate(self):
+        domain = parse_domain("""(define (domain lamp) (:requirements :strips)
+          (:predicates (lit) (key) (open))
+          (:action switch :parameters () :effect (lit))
+          (:action unlock :parameters ()
+            :precondition (and (lit) (key)) :effect (open)))""")
+        problem = parse_problem(
+            "(define (problem p) (:domain lamp) (:init) (:goal (open)))", domain
+        )
+        model = Model(domain, problem)
+        task = RepairTask(model, UNSOLVABILITY)
+        space = build_edit_space(model, predicates={"key", "lit"})
+        comp = _compile_edit_search(task, unit(space))
+        [switch, unlock] = self.originals(comp)
+        assert switch.pre == {comp.executing}
+        _, candidates = _successor_index(self.originals(comp), comp.executing)
+        assert candidates(0) == [
+            (_mask(switch.pre), _mask(switch.add), ~_mask(switch.dele), 0.0)
+        ]
+        outcome = search_outcome(_search(comp, Budget()))
+        assert outcome == search_outcome(eager_search(comp, Budget()))
+        key = ModelEdit(ADD_INIT, GroundAtom("key", ()))
+        assert outcome[:2] == ([(frozenset({key}), 1.0)], True)
+
+    def test_add_edit_already_in_init(self, t2):
+        """An addition of a true atom changes the edit set, not the state;
+        it is searched like any edit and is never part of a solution."""
+        task = RepairTask(t2, UNSOLVABILITY)
+        present = ModelEdit(ADD_INIT, GroundAtom("has_taxi", ("a", "b")))
+        fix = ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))
+        assert present.atom in t2.problem.init
+        comp = _compile_edit_search(task, unit([present, fix]))
+        assert comp.edits == [present, fix]
+        outcome = search_outcome(_search(comp, Budget()))
+        assert outcome == search_outcome(eager_search(comp, Budget()))
+        assert outcome[:2] == ([(frozenset({fix}), 1.0)], True)
 
 
 class TestSearchIsExact:
