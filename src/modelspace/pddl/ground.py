@@ -69,6 +69,9 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
         for combo in product(*(by_type[t] for t in types)):
             atoms.append(GroundAtom(pred, combo))
     atom_index = {a: i for i, a in enumerate(atoms)}
+    # keyed on plain tuples: their hashing and equality run in C, where a
+    # GroundAtom key goes through the dataclass __hash__ and __eq__
+    index_of = {(a.predicate, a.args): i for i, a in enumerate(atoms)}
 
     actions: list[GroundAction] = []
     for schema in domain.actions:
@@ -93,7 +96,7 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
                             args.append(a)
                         else:
                             raise UnknownObject(f"constant '{a}' in action '{schema.name}'")
-                    out.add(atom_index[GroundAtom(atom.predicate, tuple(args))])
+                    out.add(index_of[atom.predicate, tuple(args)])
                 return frozenset(out)
 
             actions.append(

@@ -1,6 +1,12 @@
 """Forward uniform-cost search and VAL-style plan validation.
 
-Both entry points are pure functions over immutable inputs; running many
+`solve` keeps a state as an int bitmask over atom indices, and each action
+as masks of its precondition, add and kept atoms, built once per call. An
+expansion tries only the actions that `_successor_index` hands back for the
+state's true watched atoms (the successor generator of Fast Downward), not
+every ground action; `repair._search` uses the same index. Its candidate
+cache lives inside each call and there is no module-level state, so both
+entry points are pure functions over immutable inputs, and running many
 instances in parallel worker threads is safe.
 """
 from __future__ import annotations
@@ -9,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .pddl import GroundAtom, GroundTask, Model
+from .pddl import GroundAction, GroundAtom, GroundTask, Model
 from .pddl.errors import PddlError
 
 SOLVED = "solved"
@@ -86,12 +92,13 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
     budget = budget or Budget()
     start = time.monotonic()
     stats = SearchStats()
-    init, goal = task.init, task.goal
+    watched, candidates = _successor_index(task.actions)
+    init, goal = _mask(task.init), _mask(task.goal)
 
-    heap: list[tuple[float, int, frozenset[int]]] = [(0.0, 0, init)]
-    best: dict[frozenset[int], float] = {init: 0.0}
-    parents: dict[frozenset[int], tuple[frozenset[int], object] | None] = {init: None}
-    closed: set[frozenset[int]] = set()
+    heap: list[tuple[float, int, int]] = [(0.0, 0, init)]
+    best: dict[int, float] = {init: 0.0}
+    parents: dict[int, tuple[int, GroundAction] | None] = {init: None}
+    closed: set[int] = set()
     counter = 1
 
     while heap:
@@ -99,7 +106,7 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
         if state in closed:
             continue
         closed.add(state)
-        if goal <= state:
+        if goal & state == goal:
             stats.elapsed = time.monotonic() - start
             return SolveVerdict(SOLVED, _reconstruct(parents, state, g), stats)
         if stats.expansions >= budget.max_expansions or (
@@ -109,10 +116,10 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
             stats.elapsed = time.monotonic() - start
             return SolveVerdict(BUDGET_EXHAUSTED, None, stats)
         stats.expansions += 1
-        for act in task.actions:
-            if act.pre <= state:
-                succ = (state - act.dele) | act.add
-                ng = g + act.cost
+        for pre, add, keep, cost, act in candidates(state & watched):
+            if pre & state == pre:
+                succ = (state & keep) | add
+                ng = g + cost
                 old = best.get(succ)
                 if old is None or ng < old:
                     best[succ] = ng
@@ -123,6 +130,52 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
 
     stats.elapsed = time.monotonic() - start
     return SolveVerdict(UNSOLVABLE, None, stats)
+
+
+def _successor_index(actions, always_true: int | None = None):
+    """Index actions by one watched precondition atom each.
+
+    An action watches an atom of its precondition that some action deletes
+    where it has one (such as ``at(c)``, true in few states), else any
+    precondition atom but `always_true`, an atom true in every state
+    searched (the executing phase of a repair search). One with no
+    precondition besides `always_true` watches nothing and is always a
+    candidate. Returns (watched, candidates): `watched` masks every watched
+    atom, and ``candidates(state & watched)`` lists, in action order, the
+    ``(pre, add, keep, cost, action)`` of each action that watches nothing
+    or an atom in the state; each list is built once per set of true
+    watched atoms, in a cache local to this call. Action order keeps the
+    counters, and so the tie-breaking, of a scan over all actions.
+    """
+    deleted = set().union(*(a.dele for a in actions))
+    indexed = []
+    watched = 0
+    for a in actions:
+        own = a.pre - {always_true}
+        watch = _mask([min(own, key=lambda j: (j not in deleted, j))] if own else ())
+        watched |= watch
+        indexed.append(
+            (watch, (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost, a))
+        )
+    by_fired: dict[int, list] = {}
+
+    def candidates(fired):
+        found = by_fired.get(fired)
+        if found is None:
+            found = by_fired[fired] = [
+                action for watch, action in indexed if watch & fired == watch
+            ]
+        return found
+
+    return watched, candidates
+
+
+def _mask(indices) -> int:
+    """The int bitmask with a bit set at each of the given atom indices."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 def _reconstruct(parents, state, cost) -> Plan:

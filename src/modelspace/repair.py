@@ -10,8 +10,9 @@ int, and edit sets are decoded to `ModelEdit`s only when it returns.
 It needs one cost for every edit: an editing node's edit children are
 then pushed one at a time (partial expansion, as in EPEA*), and an
 executing node tries only the original actions whose watched precondition
-atom it holds (a successor index, as in Fast Downward). Both keep the
-expansion order of a search that pushes every child and scans every action.
+atom it holds (the successor index `planner.solve` also uses, as in Fast
+Downward). Both keep the expansion order of a search that pushes every
+child and scans every action.
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a
 fact.
@@ -43,6 +44,8 @@ from .planner import (
     UNSOLVABLE,
     Budget,
     SearchStats,
+    _mask,
+    _successor_index,
     solve,
     validate_plan,
 )
@@ -181,7 +184,7 @@ def _search(comp: _Compiled, budget: Budget):
     the order an eager push of all children gives, with the same counters
     and the same `stats.generated`. In the executing phase only original
     actions can fire, and they are looked up by their watched atoms (see
-    `_successor_index`); in the editing phase only the edits and
+    `planner._successor_index`); in the editing phase only the edits and
     ``_end_editing`` can.
     """
     task = comp.task
@@ -257,7 +260,7 @@ def _search(comp: _Compiled, budget: Budget):
         else:
             successors = [
                 ((state & keep) | add, g + cost)
-                for pre, add, keep, cost in candidates(state & watched)
+                for pre, add, keep, cost, _ in candidates(state & watched)
                 if pre & state == pre
             ]
         for succ, ng in successors:
@@ -270,48 +273,6 @@ def _search(comp: _Compiled, budget: Budget):
             stats.generated += 1
 
     return result(True)
-
-
-def _successor_index(originals, executing: int):
-    """Index the original actions by one watched precondition atom each.
-
-    An action watches an atom of its precondition that some original action
-    deletes where it has one (such as ``at(c)``, true in few states), else
-    any precondition atom but the executing phase's; one with no
-    precondition besides the phase watches nothing and is always a
-    candidate. Returns (watched, candidates): `watched` masks every watched
-    atom, and ``candidates(state & watched)`` lists, in action order, the
-    ``(pre, add, keep, cost)`` of each action that watches nothing or an atom
-    in the state; each list is built once per set of true watched atoms.
-    Action order keeps the counters, and so the tie-breaking, of a scan
-    over all actions.
-    """
-    deleted = set().union(*(a.dele for a in originals))
-    indexed = []
-    watched = 0
-    for a in originals:
-        own = a.pre - {executing}
-        watch = _mask([min(own, key=lambda j: (j not in deleted, j))] if own else ())
-        watched |= watch
-        indexed.append((watch, (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost)))
-    by_fired: dict[int, list] = {}
-
-    def candidates(fired):
-        found = by_fired.get(fired)
-        if found is None:
-            found = by_fired[fired] = [
-                action for watch, action in indexed if watch & fired == watch
-            ]
-        return found
-
-    return watched, candidates
-
-
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def judge(task: RepairTask, edits, budget: Budget | None = None) -> str:
@@ -334,8 +295,17 @@ def repair_min_cost(
     task: RepairTask, space, budget: Budget | None = None
 ) -> RepairSolution | NoSolution:
     """Min-cost sound edit set expressible from `space` (Dijkstra-optimal)."""
+    budget = budget or Budget()
     comp = _compile_edit_search(task, space)
     verdict = solve(comp.task, budget)
+    if verdict.status == BUDGET_EXHAUSTED:
+        stats = verdict.stats
+        logger.debug(
+            "min-cost search stopped at budget: %d expansions, %d generated, "
+            "%.3f s; %s reached; %d edits kept",
+            stats.expansions, stats.generated, stats.elapsed,
+            _limit_reached(stats, budget), len(comp.edits),
+        )
     if not verdict.solved:
         reason = PROVEN_INSUFFICIENT if verdict.status == UNSOLVABLE else BUDGET_EXHAUSTED
         return NoSolution(reason, verdict.stats)
@@ -346,6 +316,13 @@ def repair_min_cost(
             "internal invariant violation: search returned an unsound repair"
         )
     return RepairSolution(edits, verdict.plan.cost, verdict.stats)
+
+
+def _limit_reached(stats: SearchStats, budget: Budget) -> str:
+    """The budget limit that stopped a search, for its truncation record."""
+    if stats.expansions >= budget.max_expansions:
+        return f"expansion limit {budget.max_expansions}"
+    return f"wall-clock limit {budget.max_seconds:g} s"
 
 
 def enumerate_solutions(
@@ -365,15 +342,11 @@ def enumerate_solutions(
     comp = _compile_edit_search(task, uniform)
     solutions, exhausted, stats = _search(comp, budget)
     if not exhausted:
-        if stats.expansions >= budget.max_expansions:
-            limit = f"expansion limit {budget.max_expansions}"
-        else:
-            limit = f"wall-clock limit {budget.max_seconds:g} s"
         logger.debug(
             "enumeration stopped at budget: %d expansions, %d generated, "
             "%.3f s; %s reached; %d edits kept, %d solutions found",
-            stats.expansions, stats.generated, stats.elapsed, limit,
-            len(comp.edits), len(solutions),
+            stats.expansions, stats.generated, stats.elapsed,
+            _limit_reached(stats, budget), len(comp.edits), len(solutions),
         )
     if not solutions:
         return NoSolution(

@@ -1,28 +1,45 @@
 """Search, plan validation, and the executability-to-unsolvability compilation.
 
 The search is cross-checked against a brute-force BFS reachability oracle
-written independently here, and the compilation is cross-checked by the
-equivalence: compiled task solvable <=> original plan valid.
+written independently here and against `scan_solve`, a search that scans
+every action at every expansion, and the compilation is cross-checked by
+the equivalence: compiled task solvable <=> original plan valid.
 """
 
+import functools
 import itertools
 import random
+import time
+from heapq import heappop, heappush
 
 import pytest
 
 from conftest import load_plan
+from modelspace.benchgen import ALL_KINDS
+from modelspace.benchgen.corpus import generate_corpus
 from modelspace.compilation import compile_executability
-from modelspace.pddl import GroundAtom, ground_task
+from modelspace.edits import (
+    ADD_INIT,
+    EXECUTABILITY,
+    UNSOLVABILITY,
+    ModelEdit,
+    RepairTask,
+    assign_rank_costs,
+    build_edit_space,
+)
+from modelspace.pddl import GroundAtom, Model, ground_task, parse_domain, parse_problem
 from modelspace.planner import (
     BUDGET_EXHAUSTED,
     Budget,
     Plan,
     SOLVED,
     UNSOLVABLE,
+    SearchStats,
     UnknownAction,
     solve,
     validate_plan,
 )
+from modelspace.repair import _compile_edit_search
 
 
 def repaired_travel(model):
@@ -70,6 +87,171 @@ def bfs_optimal_cost(task) -> int | None:
         frontier = nxt
         d += 1
     return None
+
+
+def scan_solve(task, budget=None):
+    """Reference for `solve`: the same Dijkstra loop over frozenset states
+    that scans every action at every expansion. Returns (status, plan,
+    expansions, generated)."""
+    budget = budget or Budget()
+    start = time.monotonic()
+    stats = SearchStats()
+    init, goal = task.init, task.goal
+    heap = [(0.0, 0, init)]
+    best = {init: 0.0}
+    parents = {init: None}
+    closed = set()
+    counter = 1
+    while heap:
+        g, _, state = heappop(heap)
+        if state in closed:
+            continue
+        closed.add(state)
+        if goal <= state:
+            steps = []
+            while parents[state] is not None:
+                state, act = parents[state]
+                steps.append((act.name, act.args))
+            plan = Plan(tuple(reversed(steps)), g)
+            return SOLVED, plan, stats.expansions, stats.generated
+        if stats.expansions >= budget.max_expansions or (
+            stats.expansions % 1024 == 0
+            and time.monotonic() - start > budget.max_seconds
+        ):
+            return BUDGET_EXHAUSTED, None, stats.expansions, stats.generated
+        stats.expansions += 1
+        for act in task.actions:
+            if act.pre <= state:
+                succ = (state - act.dele) | act.add
+                ng = g + act.cost
+                old = best.get(succ)
+                if old is None or ng < old:
+                    best[succ] = ng
+                    parents[succ] = (state, act)
+                    heappush(heap, (ng, counter, succ))
+                    counter += 1
+                    stats.generated += 1
+    return UNSOLVABLE, None, stats.expansions, stats.generated
+
+
+def solve_outcome(task, budget=None):
+    verdict = solve(task, budget)
+    return verdict.status, verdict.plan, verdict.stats.expansions, verdict.stats.generated
+
+
+# the sizes the oracle benchmark generates at
+SIZES = {
+    "travel": {"n_cities": 6},
+    "roomba": {"rows": 3, "cols": 3},
+    "barman_simple": {"n_cocktails": 2},
+    "logistics_simple": {"n_islands": 2},
+    "logistics": {"n_cities": 2, "n_locations": 2},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_instance(kind, seed):
+    return generate_corpus([kind], 1, seed=seed, **SIZES[kind])[0]
+
+
+def restored(inst):
+    return inst.perturbed.with_init(inst.perturbed.problem.init | inst.deleted_facts)
+
+
+def ranked_min_cost_task(inst, decoys=5):
+    """The task `repair_min_cost` searches under doubling rank costs: a few
+    relevant edits that are no repair on their own, then the deleted facts,
+    so the cheap wrong edit sets are tried first."""
+    task = RepairTask(inst.perturbed, UNSOLVABILITY)
+    relevant = _compile_edit_search(task, build_edit_space(inst.perturbed)).edits
+    family = [ModelEdit(ADD_INIT, a) for a in sorted(inst.deleted_facts)]
+    ranked = [e for e in relevant if e not in family][:decoys] + family
+    return _compile_edit_search(task, assign_rank_costs(ranked)).task
+
+
+def lamp_task(init):
+    """A hand-built task whose `switch` action has no precondition."""
+    domain = parse_domain("""(define (domain lamp) (:requirements :strips)
+      (:predicates (lit) (key) (open))
+      (:action switch :parameters () :effect (lit))
+      (:action unlock :parameters ()
+        :precondition (and (lit) (key)) :effect (open)))""")
+    problem = parse_problem(
+        f"(define (problem p) (:domain lamp) (:init {init}) (:goal (open)))", domain
+    )
+    return ground_task(Model(domain, problem))
+
+
+BUDGETS = [Budget(1), Budget(2), Budget(37), None]
+
+
+class TestSolveIsExact:
+    """`solve` against `scan_solve`: the same status, plan, expansions and
+    generated count."""
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_corpus_tasks(self, kind, budget):
+        for seed in (1, 2):
+            inst = corpus_instance(kind, seed)
+            for task in (
+                ground_task(inst.perturbed),
+                ground_task(restored(inst)),
+                ranked_min_cost_task(inst),
+            ):
+                assert solve_outcome(task, budget) == scan_solve(task, budget)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_executability_compilation(self, travel_exec_model, budget):
+        plan = load_plan("d5_plan.txt")
+        task = RepairTask(travel_exec_model, EXECUTABILITY, plan)
+        space = build_edit_space(travel_exec_model, predicates={"has_bus", "has_taxi"})
+        for gt in (
+            ground_task(compile_executability(travel_exec_model, plan)),
+            ground_task(compile_executability(repaired_travel(travel_exec_model), plan)),
+            _compile_edit_search(task, assign_rank_costs(space[:12])).task,
+        ):
+            assert solve_outcome(gt, budget) == scan_solve(gt, budget)
+
+    def test_action_without_preconditions(self):
+        task = lamp_task("(key)")
+        outcome = solve_outcome(task)
+        assert outcome == scan_solve(task)
+        assert outcome[:2] == (SOLVED, Plan((("switch", ()), ("unlock", ())), 2.0))
+        stuck = lamp_task("")
+        assert solve_outcome(stuck) == scan_solve(stuck)
+        assert solve_outcome(stuck)[0] == UNSOLVABLE
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_goal_holds_in_init(self, t2, budget):
+        task = ground_task(t2.with_init(t2.problem.init | t2.problem.goal))
+        outcome = solve_outcome(task, budget)
+        assert outcome == scan_solve(task, budget)
+        assert outcome == (SOLVED, Plan((), 0.0), 0, 0)
+
+
+BARMAN_PLAN = (
+    ("shake", ("cocktail_a", "ingredient_a", "ingredient_a", "shaker_a")),
+    ("pour-shaker-to-shot", ("cocktail_a", "shot_a", "shaker_a", "ingredient_a", "ingredient_a")),
+    ("shake", ("cocktail_b", "ingredient_c", "ingredient_c", "shaker_b")),
+    ("pour-shaker-to-shot", ("cocktail_b", "shot_b", "shaker_b", "ingredient_c", "ingredient_c")),
+)
+
+
+class TestSolveWork:
+    @pytest.mark.parametrize("seed, make_task, expansions, generated, steps, cost", [
+        (1, lambda inst: ground_task(restored(inst)), 329, 480, BARMAN_PLAN, 4.0),
+        (2, ranked_min_cost_task, 3530, 3712,
+         (("_edit_0005", ()), ("_end_editing", ())) + BARMAN_PLAN, 32.0),
+    ], ids=["corpus", "min_cost"])
+    def test_solve_work_is_pinned(self, seed, make_task, expansions, generated, steps, cost):
+        """Expansions, generated nodes and the plan on a barman_simple corpus
+        task and on the min-cost task of a perturbed one under doubling rank
+        costs, where the sixth-ranked edit is the cheapest repair."""
+        verdict = solve(make_task(corpus_instance("barman_simple", seed)))
+        assert verdict.status == SOLVED
+        assert (verdict.stats.expansions, verdict.stats.generated) == (expansions, generated)
+        assert verdict.plan == Plan(steps, cost)
 
 
 class TestSolve:

@@ -26,7 +26,13 @@ from modelspace.pddl import (
     parse_domain,
     parse_problem,
 )
-from modelspace.planner import Budget, SearchStats, solve
+from modelspace.planner import (
+    Budget,
+    SearchStats,
+    _mask,
+    _successor_index,
+    solve,
+)
 from modelspace.repair import (
     BUDGET_EXHAUSTED,
     MAX_RETAINED_SOLUTIONS,
@@ -34,9 +40,7 @@ from modelspace.repair import (
     PROVEN_INSUFFICIENT,
     SOUND,
     _compile_edit_search,
-    _mask,
     _search,
-    _successor_index,
     enumerate_solutions,
     judge,
     repair_min_cost,
@@ -239,6 +243,23 @@ class TestMinCost:
         out = repair_min_cost(task, [(e, 1.0) for e in space], Budget(max_expansions=1))
         assert isinstance(out, NoSolution)
         assert out.reason == BUDGET_EXHAUSTED
+
+    def test_truncated_search_is_logged(self, t2, caplog):
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = unit(build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"}))
+        with caplog.at_level(logging.DEBUG, logger="modelspace.repair"):
+            assert not isinstance(repair_min_cost(task, space), NoSolution)
+            assert not caplog.records
+            out = repair_min_cost(task, space, Budget(max_expansions=1))
+        assert isinstance(out, NoSolution) and out.reason == BUDGET_EXHAUSTED
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.name == "modelspace.repair"
+        message = record.getMessage()
+        assert message.startswith("min-cost search stopped at budget: 1 expansions")
+        assert "expansion limit 1 reached" in message
+        kept = len(_compile_edit_search(task, space).edits)
+        assert message.endswith(f"{kept} edits kept")
 
     def test_ranked_costs_respect_prefix_dominance(self, t2):
         """With doubling costs, the optimum uses the shortest sound prefix
@@ -464,7 +485,7 @@ class TestSuccessorIndex:
         assert switch.pre == {comp.executing}
         _, candidates = _successor_index(self.originals(comp), comp.executing)
         assert candidates(0) == [
-            (_mask(switch.pre), _mask(switch.add), ~_mask(switch.dele), 0.0)
+            (_mask(switch.pre), _mask(switch.add), ~_mask(switch.dele), 0.0, switch)
         ]
         outcome = search_outcome(_search(comp, Budget()))
         assert outcome == search_outcome(eager_search(comp, Budget()))

@@ -149,9 +149,11 @@ class TestRunBench:
         ]
 
     def test_parallel_matches_serial(self, travel_inst, roomba_inst):
+        """Worker threads run `planner.solve` concurrently, on compiled
+        min-cost tasks too (pre_processor)."""
         args = (
             [travel_inst, roomba_inst],
-            ["llm_only"],
+            ["llm_only", "pre_processor"],
             ["unsolvability", "executability"],
             OracleProvider,
             CFG,
