@@ -1,6 +1,11 @@
 """Perturbation: manufacture unsolvable/inexecutable instances with a known
 minimal repair, by deleting 1-4 reasonable initial-state facts from a
-solvable model."""
+solvable model.
+
+The solvable model is solved once per instance. Preconditions and goals are
+positive and restoring the deleted facts gives back a superset of the
+model's init, so the model's plan is the witness that the restored model
+solves; the same plan becomes the instance's target plan."""
 from __future__ import annotations
 
 import random
@@ -55,7 +60,9 @@ def perturb_unsolvable(
     max_tries: int = 30,
 ) -> BenchInstance:
     """Delete k family facts so the model becomes provably unsolvable;
-    resamples the choice of facts up to max_tries times."""
+    resamples the choice of facts up to max_tries times. The model is
+    solved once; its plan is checked with `validate_plan` on each restored
+    model and becomes the instance's target plan."""
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
     candidates = sorted(family.removable)
@@ -64,13 +71,16 @@ def perturb_unsolvable(
             f"only {len(candidates)} removable facts available, need {k}"
         )
     rng = random.Random(f"perturb:{domain_kind}:{seed}:{k}")
+    plan = solve(ground_task(model)).plan
+    if plan is None:
+        raise InvariantViolation("solvable original did not solve")
     for _ in range(max_tries):
         chosen = frozenset(rng.sample(candidates, k))
         perturbed = model.with_init(_perturb_init(model, chosen, family.family_id, rng))
         if not solve(ground_task(perturbed)).proven_unsolvable:
             continue
         restored = perturbed.with_init(perturbed.problem.init | chosen)
-        if not solve(ground_task(restored)).solved:
+        if not validate_plan(restored, plan).valid:
             continue
         return BenchInstance(
             id=instance_id,
@@ -81,20 +91,21 @@ def perturb_unsolvable(
             family=family,
             k=k,
             seed=seed,
+            target_plan=plan,
         )
     raise PerturbationFailed(f"no {k}-subset of removable facts yields unsolvability")
 
 
 def select_target_plan(inst: BenchInstance) -> Plan:
-    """The planner's deterministic plan for the solvable original; stored on
-    the instance. Must be broken by the perturbation."""
-    verdict = solve(ground_task(inst.solvable))
-    if not verdict.solved:
-        raise InvariantViolation("solvable original did not solve")
-    if validate_plan(inst.perturbed, verdict.plan).valid:
+    """The planner's deterministic plan for the solvable original, which
+    `perturb_unsolvable` stored on the instance. Must be broken by the
+    perturbation."""
+    plan = inst.target_plan
+    if plan is None:
+        raise InvariantViolation("instance carries no target plan")
+    if validate_plan(inst.perturbed, plan).valid:
         raise InvariantViolation("target plan survived the perturbation")
-    inst.target_plan = verdict.plan
-    return verdict.plan
+    return plan
 
 
 def verify_instance(inst: BenchInstance) -> bool:

@@ -19,7 +19,12 @@ fact.
 
 `judge` decides soundness (SOUND, UNSOUND or INDETERMINATE) by recomputing
 the objective metric on the repaired model; a min-cost repair is judged
-before it is handed back.
+before it is handed back. For unsolvability, a witness plan is checked
+first with `validate_plan` (VAL-style simulation, independent of the
+search): a valid witness proves the repair sound with no grounding and no
+`solve`, and a failed one is logged and the repaired model is solved
+afresh. `repair_min_cost` hands on the original-action steps of its plan as
+the witness.
 """
 from __future__ import annotations
 
@@ -44,6 +49,7 @@ from .planner import (
     UNSOLVABLE,
     Budget,
     SearchStats,
+    UnknownAction,
     _mask,
     _successor_index,
     solve,
@@ -64,6 +70,8 @@ ENUM_EXPANSIONS_EXECUTABILITY = 10_000
 ENUM_MAX_SECONDS = 7_200.0
 
 MAX_RETAINED_SOLUTIONS = 20
+
+_END_EDITING = "_end_editing"
 
 
 @dataclass
@@ -147,7 +155,7 @@ def _compile_edit_search(task: RepairTask, space) -> _Compiled:
         kept_edits.append(edit)
 
     end_editing = GroundAction(
-        "_end_editing", (), pre=frozenset({e_idx}),
+        _END_EDITING, (), pre=frozenset({e_idx}),
         add=frozenset({x_idx}), dele=frozenset({e_idx}), cost=0.0,
     )
     originals = [
@@ -275,15 +283,44 @@ def _search(comp: _Compiled, budget: Budget):
     return result(True)
 
 
-def judge(task: RepairTask, edits, budget: Budget | None = None) -> str:
+def judge(
+    task: RepairTask, edits, budget: Budget | None = None, witness=None
+) -> str:
     """SOUND, UNSOUND or INDETERMINATE: the objective metric recomputed on
     the repaired model. A solvability check that runs out of budget proves
-    neither way. Raises PddlError when an edit cannot be applied."""
+    neither way. Raises PddlError when an edit cannot be applied.
+
+    For unsolvability, `witness` may give the steps ``(name, args)`` of a
+    plan believed to solve the repaired model. When `validate_plan` accepts
+    it the repair is SOUND without grounding or search; when it does not,
+    a warning is logged and the model is grounded and solved as without a
+    witness, so a witness never changes a verdict it could not prove.
+    """
     repaired = apply_edits(task.base, edits)
     if task.use_case == UNSOLVABILITY:
+        if witness is not None and _witness_solves(repaired, witness):
+            return SOUND
         status = solve(ground_task(repaired), budget).status
         return {SOLVED: SOUND, BUDGET_EXHAUSTED: INDETERMINATE}.get(status, UNSOUND)
     return SOUND if validate_plan(repaired, task.target_plan).valid else UNSOUND
+
+
+def _witness_solves(model, witness) -> bool:
+    """True iff the witness steps are a valid plan for `model`; otherwise
+    logs one warning that names the failing step."""
+    steps = tuple(witness)
+    try:
+        report = validate_plan(model, steps)
+    except UnknownAction as err:
+        logger.warning("witness plan rejected, re-solving: %s", err)
+        return False
+    if not report.valid:
+        at = report.failing_step
+        logger.warning(
+            "witness plan rejected at %r, re-solving: %s",
+            steps[at] if at is not None else None, report,
+        )
+    return report.valid
 
 
 def verify_repair(task: RepairTask, edits, budget: Budget | None = None) -> bool:
@@ -309,9 +346,14 @@ def repair_min_cost(
     if not verdict.solved:
         reason = PROVEN_INSUFFICIENT if verdict.status == UNSOLVABLE else BUDGET_EXHAUSTED
         return NoSolution(reason, verdict.stats)
+    # Edits fire only before `_end_editing` and originals only after it; a
+    # plan whose edits alone reach the goal has no `_end_editing` step.
+    steps = verdict.plan.steps
+    end = (_END_EDITING, ())
+    cut = steps.index(end) if end in steps else len(steps)
     edit_of = {act.name: edit for act, edit in zip(comp.edit_actions, comp.edits)}
-    edits = frozenset(edit_of[name] for name, _ in verdict.plan.steps if name in edit_of)
-    if judge(task, edits) != SOUND:
+    edits = frozenset(edit_of[name] for name, _ in steps[:cut])
+    if judge(task, edits, witness=steps[cut + 1:]) != SOUND:
         raise AssertionError(
             "internal invariant violation: search returned an unsound repair"
         )

@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -21,6 +22,28 @@ def load_model(domain_name: str, problem_name: str) -> Model:
 def load_plan(name: str) -> Plan:
     steps = tuple(parse_plan_text(fixture_text(name)))
     return Plan(steps, float(len(steps)))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(func)`` wraps every binding of `func` in the loaded
+    `modelspace` modules and returns the list its calls are appended to."""
+
+    def install(func):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return func(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "modelspace":
+                for attr, value in list(vars(module).items()):
+                    if value is func:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -247,6 +247,16 @@ class TestCorpus:
             render_model(i.perturbed) for i in b
         ]
 
+    def test_instance_setup_solve_count(self, count_calls):
+        """Three solves on this seed's first try: the generator's
+        solvability check and `perturb_unsolvable`'s plan (the restore
+        witness and the target plan), both of the same model, and the
+        perturbed model's unsolvability proof."""
+        solved = count_calls(solve)
+        inst = make_instance(TRAVEL, seed=8)
+        assert len(solved) == 3
+        assert verify_instance(inst)
+
     def test_fixed_k_respected(self):
         insts = generate_corpus([TRAVEL], 3, seed=1, k=2)
         assert all(i.k == 2 for i in insts)

@@ -1,9 +1,11 @@
 """Judging, aggregation, report rendering, and figure-data emission."""
 
+import logging
 import random
 
 import pytest
 
+from modelspace import repair
 from modelspace.edits import ADD_INIT, UNSOLVABILITY, ModelEdit, RepairTask
 from modelspace.evalharness import (
     SchemaError,
@@ -49,6 +51,59 @@ class TestJudging:
         already_true = {ModelEdit(ADD_INIT, GroundAtom("at", ("a",)))}
         with pytest.raises(PddlError):
             judge(task, already_true)
+
+    # use_bus a b, use_bus b c solves t2 once has_bus(b, c) is added
+    WITNESS = (("use_bus", ("a", "b")), ("use_bus", ("b", "c")))
+    CORRUPTED = {
+        "dropped_step": WITNESS[1:],
+        "unknown_action": (("fly", ("a", "c")),),
+        "wrong_arity": (("use_bus", ("a",)),) + WITNESS[1:],
+        "empty": (),
+    }
+
+    def test_valid_witness_needs_no_grounding_or_search(self, t2, count_calls):
+        task = RepairTask(t2, UNSOLVABILITY)
+        good = {ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))}
+        grounded, solved = count_calls(repair.ground_task), count_calls(repair.solve)
+        assert judge(task, good, witness=self.WITNESS) == SOUND
+        assert (len(grounded), len(solved)) == (0, 0)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTED))
+    @pytest.mark.parametrize("atom, budget, verdict", [
+        (("has_bus", ("b", "c")), None, SOUND),
+        (("has_bus", ("c", "b")), None, UNSOUND),
+        (("has_bus", ("b", "c")), Budget(max_expansions=1), INDETERMINATE),
+    ], ids=[SOUND, UNSOUND, INDETERMINATE])
+    def test_corrupted_witness_falls_back_to_solve(
+        self, t2, count_calls, corruption, atom, budget, verdict
+    ):
+        task = RepairTask(t2, UNSOLVABILITY)
+        edits = {ModelEdit(ADD_INIT, GroundAtom(*atom))}
+        solved = count_calls(repair.solve)
+        assert judge(task, edits, budget, witness=self.CORRUPTED[corruption]) == verdict
+        assert len(solved) == 1
+        assert judge(task, edits, budget) == verdict
+
+    @pytest.mark.parametrize("witness", [None, (), WITNESS])
+    def test_stale_edit_raises_with_any_witness(self, t2, witness):
+        task = RepairTask(t2, UNSOLVABILITY)
+        already_true = {ModelEdit(ADD_INIT, GroundAtom("at", ("a",)))}
+        with pytest.raises(PddlError):
+            judge(task, already_true, witness=witness)
+
+    def test_rejected_witness_is_logged(self, t2, caplog):
+        task = RepairTask(t2, UNSOLVABILITY)
+        good = {ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))}
+        with caplog.at_level(logging.DEBUG, logger="modelspace.repair"):
+            assert judge(task, good, witness=self.WITNESS) == SOUND
+            assert not caplog.records
+            assert judge(task, good, witness=self.CORRUPTED["dropped_step"]) == SOUND
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.name == "modelspace.repair"
+        failing_step, report = record.args
+        assert failing_step == self.WITNESS[1]
+        assert report.failing_step == 0
 
     def test_preferred_requires_family_membership(self, t2):
         fam = family_for("travel_services")

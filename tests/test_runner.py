@@ -90,9 +90,9 @@ class TestRunInstance:
         real_judge = repair.judge
         judged = []
 
-        def counting_judge(task, edits, budget=None):
+        def counting_judge(task, edits, budget=None, **kwargs):
             judged.append(edits)
-            return real_judge(task, edits, budget)
+            return real_judge(task, edits, budget, **kwargs)
 
         for module in (repair, pipelines):
             monkeypatch.setattr(module, "judge", counting_judge)
@@ -101,6 +101,17 @@ class TestRunInstance:
         )
         assert record["sound"] is True
         assert len(judged) == 1
+
+    def test_pre_processor_grounds_and_solves_once(self, travel_inst, count_calls):
+        """The min-cost plan is the witness `judge` validates, so soundness
+        costs no second grounding and no second search."""
+        grounded, solved = count_calls(repair.ground_task), count_calls(repair.solve)
+        record = run_instance(
+            travel_inst, "pre_processor", "unsolvability",
+            OracleProvider(travel_inst), CFG,
+        )
+        assert record["sound"] is True
+        assert (len(grounded), len(solved)) == (1, 1)
 
     def test_soundness_rejudged_independently(self, travel_inst):
         """A provider that replies with prose produces a failed record, not a
