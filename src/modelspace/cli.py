@@ -21,15 +21,9 @@ from .llm.client import DirectoryMockProvider, HttpProvider, ProviderConfig
 from .oracle import OracleProvider
 from .pddl import Model, parse_domain, parse_plan_text, parse_problem
 from .pddl.errors import PddlError
-from .pipelines import (
-    LLM_ONLY,
-    POST_PROCESSOR,
-    PRE_PROCESSOR,
-    SearchBudgets,
-    run_pipeline,
-)
-from .planner import Plan, validate_plan
-from .repair import NoSolution, enumerate_solutions
+from .pipelines import LLM_ONLY, POST_PROCESSOR, PRE_PROCESSOR, run_pipeline
+from .planner import Budget, Plan, validate_plan
+from .repair import ENUM_BUDGET, NoSolution, enumerate_solutions
 
 _PIPELINE_ALIASES = {
     "llm": LLM_ONLY, "llm_only": LLM_ONLY,
@@ -39,7 +33,6 @@ _PIPELINE_ALIASES = {
 
 # desk-scale wall clock default; the paper-scale preset restores 2 hours
 DESK_SECONDS = 60.0
-PAPER_SECONDS = 7200.0
 
 
 def read_config(path: str | Path) -> dict:
@@ -56,38 +49,32 @@ def read_config(path: str | Path) -> dict:
     return out
 
 
-def _provider_config(args, config: dict) -> ProviderConfig:
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in config:
-            return cast(config[key])
-        return default
+def _pick(args, config: dict, key: str, cast, default):
+    flag = getattr(args, key, None)
+    if flag is not None:
+        return flag
+    if key in config:
+        return cast(config[key])
+    return default
 
+
+def _provider_config(args, config: dict) -> ProviderConfig:
     return ProviderConfig(
-        endpoint=pick(getattr(args, "endpoint", None), "endpoint", str,
-                      ProviderConfig.endpoint),
-        model=pick(getattr(args, "model", None), "model", str, ProviderConfig.model),
-        context_limit=pick(getattr(args, "context_limit", None), "context_limit", int,
-                           ProviderConfig.context_limit),
-        temperature=pick(None, "temperature", float, ProviderConfig.temperature),
+        endpoint=_pick(args, config, "endpoint", str, ProviderConfig.endpoint),
+        model=_pick(args, config, "model", str, ProviderConfig.model),
+        context_limit=_pick(args, config, "context_limit", int, ProviderConfig.context_limit),
+        temperature=_pick(args, config, "temperature", float, ProviderConfig.temperature),
     )
 
 
-def _budgets(args, config: dict) -> SearchBudgets:
-    seconds = DESK_SECONDS
-    preset = getattr(args, "preset", None) or config.get("preset")
-    if preset == "paper":
-        seconds = PAPER_SECONDS
-    uns = getattr(args, "uns_expansions", None) or int(config.get("uns_expansions", 5000))
-    exe = getattr(args, "exec_expansions", None) or int(config.get("exec_expansions", 10000))
-    if getattr(args, "time_seconds", None):
-        seconds = args.time_seconds
-    elif "time_seconds" in config:
-        seconds = float(config["time_seconds"])
-    if uns <= 0 or exe <= 0 or seconds <= 0:
+def _budget(args, config: dict) -> Budget:
+    preset = _pick(args, config, "preset", str, None)
+    seconds = ENUM_BUDGET.max_seconds if preset == "paper" else DESK_SECONDS
+    expansions = _pick(args, config, "uns_expansions", int, ENUM_BUDGET.max_expansions)
+    seconds = _pick(args, config, "time_seconds", float, seconds)
+    if expansions <= 0 or seconds <= 0:
         raise ValueError("budgets must be positive")
-    return SearchBudgets(uns, exe, seconds)
+    return Budget(expansions, seconds)
 
 
 def _parse_k(text: str) -> tuple[int, int]:
@@ -133,14 +120,14 @@ def _make_provider(spec: str, cfg: ProviderConfig, inst=None):
 
 def cmd_repair(args, config) -> int:
     task = _load_task(args)
-    budgets = _budgets(args, config)
+    budget = _budget(args, config)
     predicates = set(args.predicates.split(",")) if args.predicates else None
     kinds = tuple(
         {"add": ADD_INIT, "remove": REMOVE_INIT}[k] for k in args.kinds.split(",")
     )
     space = build_edit_space(task.base, predicates=predicates, kinds=kinds)
     if args.pipeline == "cs":
-        options = enumerate_solutions(task, space, budgets.for_use_case(task.use_case))
+        options = enumerate_solutions(task, space, budget)
         if isinstance(options, NoSolution):
             print(f"no solution: {options.reason}", file=sys.stderr)
             return 1
@@ -149,7 +136,7 @@ def cmd_repair(args, config) -> int:
     pipeline = _PIPELINE_ALIASES[args.pipeline]
     cfg = _provider_config(args, config)
     provider = _make_provider(args.provider, cfg)
-    outcome = run_pipeline(pipeline, task, provider, cfg, budgets=budgets, space=space)
+    outcome = run_pipeline(pipeline, task, provider, cfg, budget=budget, space=space)
     if outcome.failure:
         print(f"failed: {outcome.failure}", file=sys.stderr)
         return 1
@@ -174,13 +161,13 @@ def cmd_run(args, config) -> int:
         else [args.use_case]
     )
     cfg = _provider_config(args, config)
-    budgets = _budgets(args, config)
+    budget = _budget(args, config)
 
     def factory(inst):
         return _make_provider(args.provider, cfg, inst)
 
     records = runner.run_bench(
-        instances, pipelines, use_cases, factory, cfg, budgets, jobs=args.jobs
+        instances, pipelines, use_cases, factory, cfg, budget, jobs=args.jobs
     )
     runner.write_records_jsonl(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -266,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _budget_flags(sub) -> None:
     sub.add_argument("--uns-expansions", dest="uns_expansions", type=int)
-    sub.add_argument("--exec-expansions", dest="exec_expansions", type=int)
     sub.add_argument("--time-seconds", dest="time_seconds", type=float)
     sub.add_argument("--preset", choices=["desk", "paper"])
 

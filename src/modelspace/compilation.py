@@ -2,10 +2,10 @@
 
 Enforcing the target plan step by step with fresh step fluents yields a
 model that is solvable exactly when the plan is executable, so initial-state
-edits transfer between the two views unchanged.
+edits transfer between the two views unchanged. Repair does not search it:
+`planner.missing_init_atoms` gives the same answer in one pass.
 """
 from __future__ import annotations
-
 
 from .pddl import ActionSchema, Atom, DomainModel, GroundAtom, Model, ProblemModel
 from .pddl.errors import PddlError

@@ -2,22 +2,21 @@
 
 Every entry point returns a PipelineOutcome; failures are captured in the
 outcome rather than raised. The post- and pre-processor configurations only
-ever propose verified-sound edit sets or record a failure.
+ever propose verified-sound edit sets or record a failure; one
+`planner.Budget`, by default `repair.ENUM_BUDGET`, bounds their searches.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from .edits import UNSOLVABILITY, RepairTask, build_edit_space
+from .edits import UNSOLVABILITY, RepairTask, assign_rank_costs, build_edit_space
 from .llm import client as llm_client
 from .llm import prompts, responses
 from .pddl.errors import PddlError
 from .planner import Budget
 from .repair import (
-    ENUM_EXPANSIONS_EXECUTABILITY,
-    ENUM_EXPANSIONS_UNSOLVABILITY,
-    ENUM_MAX_SECONDS,
+    ENUM_BUDGET,
     INDETERMINATE,
     SOUND,
     UNSOUND,
@@ -52,21 +51,6 @@ class PipelineOutcome:
     response: str = ""
     timings: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
-
-
-@dataclass
-class SearchBudgets:
-    unsolvability_expansions: int = ENUM_EXPANSIONS_UNSOLVABILITY
-    executability_expansions: int = ENUM_EXPANSIONS_EXECUTABILITY
-    max_seconds: float = ENUM_MAX_SECONDS
-
-    def for_use_case(self, use_case: str) -> Budget:
-        expansions = (
-            self.unsolvability_expansions
-            if use_case == UNSOLVABILITY
-            else self.executability_expansions
-        )
-        return Budget(max_expansions=expansions, max_seconds=self.max_seconds)
 
 
 def _ask(outcome: PipelineOutcome, provider, cfg, prompt: str) -> str | None:
@@ -135,19 +119,18 @@ def run_post_processor(
     task: RepairTask,
     provider,
     cfg: llm_client.ProviderConfig,
-    budgets: SearchBudgets | None = None,
+    budget: Budget | None = None,
     space=None,
     instance_id: str = "",
 ) -> PipelineOutcome:
     """Enumerate sound candidates with CS, then let the LLM pick one."""
-    budgets = budgets or SearchBudgets()
     outcome = PipelineOutcome(
         instance_id, POST_PROCESSOR, task.use_case, getattr(provider, "name", "")
     )
     if space is None:
         space = build_edit_space(task.base)
     t0 = time.monotonic()
-    options = enumerate_solutions(task, space, budgets.for_use_case(task.use_case))
+    options = enumerate_solutions(task, space, budget)
     outcome.timings["search"] = time.monotonic() - t0
     if isinstance(options, NoSolution):
         outcome.failure = f"{FAIL_NO_SOLUTION}:{options.reason}"
@@ -179,13 +162,10 @@ def run_pre_processor(
     task: RepairTask,
     provider,
     cfg: llm_client.ProviderConfig,
-    budgets: SearchBudgets | None = None,
+    budget: Budget | None = None,
     instance_id: str = "",
 ) -> PipelineOutcome:
     """Ask the LLM for a ranked edit list, then run value-ordered CS."""
-    from .edits import assign_rank_costs
-
-    budgets = budgets or SearchBudgets()
     outcome = PipelineOutcome(
         instance_id, PRE_PROCESSOR, task.use_case, getattr(provider, "name", "")
     )
@@ -206,7 +186,7 @@ def run_pre_processor(
     outcome.diagnostics.extend(diagnostics)
     space = assign_rank_costs(ranked, truncate=True)
     t0 = time.monotonic()
-    solution = repair_min_cost(task, space, budgets.for_use_case(task.use_case))
+    solution = repair_min_cost(task, space, budget or ENUM_BUDGET)
     outcome.timings["search"] = time.monotonic() - t0
     if isinstance(solution, NoSolution):
         outcome.failure = f"{FAIL_NO_SOLUTION}:{solution.reason}"
@@ -218,7 +198,7 @@ def run_pre_processor(
 
 def run_pipeline(pipeline: str, task: RepairTask, provider, cfg, **kwargs) -> PipelineOutcome:
     if pipeline == LLM_ONLY:
-        kwargs.pop("budgets", None)
+        kwargs.pop("budget", None)
         kwargs.pop("space", None)
         return run_llm_only(task, provider, cfg, **kwargs)
     if pipeline == POST_PROCESSOR:

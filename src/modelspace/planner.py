@@ -1,4 +1,4 @@
-"""Forward uniform-cost search and VAL-style plan validation.
+"""Forward uniform-cost search, VAL-style plan validation and repair advice.
 
 `solve` keeps a state as an int bitmask over atom indices, and each action
 as masks of its precondition, add and kept atoms, built once per call. An
@@ -234,3 +234,22 @@ def validate_plan(model: Model, plan) -> ValidationReport:
         state |= add
     goal_ok = model.problem.goal <= state
     return ValidationReport(valid=goal_ok, failing_step=None, goal_satisfied=goal_ok)
+
+
+def missing_init_atoms(model: Model, plan) -> frozenset[GroundAtom] | None:
+    """The atoms the plan needs and the initial state lacks (VAL's repair
+    advice): under positive preconditions and goals, the one minimal set of
+    init additions that makes the plan valid. None when an unmet atom was
+    deleted by an earlier step and not added back since: no addition helps."""
+    steps = plan.steps if isinstance(plan, Plan) else tuple(plan)
+    grounded = [ground_plan_step(model, name, args) for name, args in steps]
+    state, missing, deleted = set(model.problem.init), set(), set()
+    # the goal is checked as a last step with no effects
+    for pre, add, dele in grounded + [(model.problem.goal, set(), set())]:
+        unmet = pre - state
+        if unmet & deleted:
+            return None
+        missing |= unmet
+        state = (state | unmet) - dele | add
+        deleted = (deleted | dele) - add
+    return frozenset(missing)

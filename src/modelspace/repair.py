@@ -1,18 +1,22 @@
 """Combinatorial search over edit sets, and the one soundness verdict.
 
-Both entry points compile candidate initial-state additions into
-zero-parameter actions that are only applicable in an initial "editing"
-phase. Min-cost repair runs `planner.solve` on the compiled task: the edit
-actions of the plan are the repair. Enumeration runs `_search`, which keeps
-the applied edit set in each node so it can go on past the first solution;
-its nodes are int bitmasks over atom and edit indices, keyed on one packed
-int, and edit sets are decoded to `ModelEdit`s only when it returns.
-It needs one cost for every edit: an editing node's edit children are
-then pushed one at a time (partial expansion, as in EPEA*), and an
-executing node tries only the original actions whose watched precondition
-atom it holds (the successor index `planner.solve` also uses, as in Fast
-Downward). Both keep the expansion order of a search that pushes every
-child and scans every action.
+Executability needs no search: its one minimal repair is the set of atoms
+the target plan needs and lacks (`planner.missing_init_atoms`), returned
+when the space holds it and PROVEN_INSUFFICIENT otherwise.
+
+For unsolvability, both entry points compile candidate initial-state
+additions into zero-parameter actions that are only applicable in an
+initial "editing" phase. Min-cost repair runs `planner.solve` on the
+compiled task: the edit actions of the plan are the repair. Enumeration
+runs `_search`, which keeps the applied edit set in each node so it can go
+on past the first solution; its nodes are int bitmasks over atom and edit
+indices, keyed on one packed int, and edit sets are decoded to `ModelEdit`s
+only when it returns. It needs one cost for every edit: an editing node's
+edit children are then pushed one at a time (partial expansion, as in
+EPEA*), and an executing node tries only the original actions whose
+watched precondition atom it holds (the successor index `planner.solve`
+also uses, as in Fast Downward). Both keep the expansion order of a search
+that pushes every child and scans every action.
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a
 fact.
@@ -33,7 +37,6 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .compilation import compile_executability
 from .edits import (
     ADD_INIT,
     UNSOLVABILITY,
@@ -52,6 +55,7 @@ from .planner import (
     UnknownAction,
     _mask,
     _successor_index,
+    missing_init_atoms,
     solve,
     validate_plan,
 )
@@ -64,10 +68,8 @@ SOUND = "sound"
 UNSOUND = "unsound"
 INDETERMINATE = "indeterminate"
 
-# Paper-scale enumeration budgets: expansions per use case, 2-hour wall clock.
-ENUM_EXPANSIONS_UNSOLVABILITY = 5_000
-ENUM_EXPANSIONS_EXECUTABILITY = 10_000
-ENUM_MAX_SECONDS = 7_200.0
+# Paper-scale search budget: 5,000 expansions, 2-hour wall clock.
+ENUM_BUDGET = Budget(max_expansions=5_000, max_seconds=7_200.0)
 
 MAX_RETAINED_SOLUTIONS = 20
 
@@ -113,13 +115,7 @@ def _normalize_space(space) -> tuple[list[ModelEdit], list[float]]:
 
 
 def _compile_edit_search(task: RepairTask, space) -> _Compiled:
-    base = task.base
-    model = (
-        base
-        if task.use_case == UNSOLVABILITY
-        else compile_executability(base, task.target_plan)
-    )
-    gt = ground_task(model)
+    gt = ground_task(task.base)
     edits, costs = _normalize_space(space)
 
     atoms = list(gt.atoms)
@@ -331,7 +327,13 @@ def verify_repair(task: RepairTask, edits, budget: Budget | None = None) -> bool
 def repair_min_cost(
     task: RepairTask, space, budget: Budget | None = None
 ) -> RepairSolution | NoSolution:
-    """Min-cost sound edit set expressible from `space` (Dijkstra-optimal)."""
+    """Min-cost sound edit set expressible from `space` (Dijkstra-optimal,
+    or in closed form for executability)."""
+    if task.use_case != UNSOLVABILITY:
+        found = _executability_repair(task, space)
+        if isinstance(found, NoSolution) or judge(task, found.edits) == SOUND:
+            return found
+        raise AssertionError("internal invariant violation: closed-form repair is unsound")
     budget = budget or Budget()
     comp = _compile_edit_search(task, space)
     verdict = solve(comp.task, budget)
@@ -360,6 +362,17 @@ def repair_min_cost(
     return RepairSolution(edits, verdict.plan.cost, verdict.stats)
 
 
+def _executability_repair(task: RepairTask, space) -> RepairSolution | NoSolution:
+    """The atoms the target plan lacks, as additions at their first cost in
+    `space`; PROVEN_INSUFFICIENT when no addition helps or `space` lacks one."""
+    cost = dict(zip(*_normalize_space(space)))
+    missing = missing_init_atoms(task.base, task.target_plan)
+    edits = frozenset(ModelEdit(ADD_INIT, atom) for atom in missing or ())
+    if missing is None or not edits <= cost.keys():
+        return NoSolution(PROVEN_INSUFFICIENT)
+    return RepairSolution(edits, sum((cost[e] for e in edits), 0.0))
+
+
 def _limit_reached(stats: SearchStats, budget: Budget) -> str:
     """The budget limit that stopped a search, for its truncation record."""
     if stats.expansions >= budget.max_expansions:
@@ -372,14 +385,12 @@ def enumerate_solutions(
 ) -> list[frozenset] | NoSolution:
     """Exhaustive-until-budget enumeration of sound edit sets under unit
     edit costs; strict supersets of found sets are pruned; at most 20
-    retained, ordered by (cardinality, lexicographic)."""
-    if budget is None:
-        expansions = (
-            ENUM_EXPANSIONS_UNSOLVABILITY
-            if task.use_case == UNSOLVABILITY
-            else ENUM_EXPANSIONS_EXECUTABILITY
-        )
-        budget = Budget(max_expansions=expansions, max_seconds=ENUM_MAX_SECONDS)
+    retained, ordered by (cardinality, lexicographic). Executability has
+    one minimal repair, found without search."""
+    if task.use_case != UNSOLVABILITY:
+        found = _executability_repair(task, space)
+        return found if isinstance(found, NoSolution) else [found.edits]
+    budget = budget or ENUM_BUDGET
     uniform = [(e if not isinstance(e, tuple) else e[0], 1.0) for e in space]
     comp = _compile_edit_search(task, uniform)
     solutions, exhausted, stats = _search(comp, budget)

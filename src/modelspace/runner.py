@@ -17,7 +17,8 @@ from .edits import (
     edit_to_json,
 )
 from .evalharness import judge_preferred
-from .pipelines import POST_PROCESSOR, SearchBudgets, run_pipeline
+from .pipelines import POST_PROCESSOR, run_pipeline
+from .planner import Budget
 
 RECORD_SCHEMA = 1
 
@@ -49,10 +50,10 @@ def run_instance(
     use_case: str,
     provider,
     cfg,
-    budgets: SearchBudgets | None = None,
+    budget: Budget | None = None,
 ) -> dict:
     task = task_for(inst, use_case)
-    kwargs = {"instance_id": inst.id, "budgets": budgets}
+    kwargs = {"instance_id": inst.id, "budget": budget}
     if pipeline == POST_PROCESSOR:
         kwargs["space"] = default_edit_space(inst.domain_kind, inst.perturbed)
     outcome = run_pipeline(pipeline, task, provider, cfg, **kwargs)
@@ -85,7 +86,7 @@ def run_bench(
     use_cases,
     provider_factory,
     cfg,
-    budgets: SearchBudgets | None = None,
+    budget: Budget | None = None,
     jobs: int = 1,
 ) -> list[dict]:
     """Cross product of instances x pipelines x use cases; record order is
@@ -99,7 +100,7 @@ def run_bench(
 
     def one(item):
         inst, pipeline, use_case = item
-        return run_instance(inst, pipeline, use_case, provider_factory(inst), cfg, budgets)
+        return run_instance(inst, pipeline, use_case, provider_factory(inst), cfg, budget)
 
     if jobs <= 1:
         return [one(item) for item in work]

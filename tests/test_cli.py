@@ -93,6 +93,33 @@ class TestRepair:
         assert code == 0
         assert stdout.strip() == "(+ (has_taxi b c))"
 
+    def test_already_valid_plan(self, capsys, t2_files, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("(use_taxi a b)\n")
+        problem = tmp_path / "problem.pddl"
+        text = (t2_files / "problem.pddl").read_text()
+        problem.write_text(text.replace("(:goal (at c))", "(:goal (at b))"))
+        code, stdout, _ = run(
+            capsys, "repair",
+            "--domain", str(t2_files / "domain.pddl"),
+            "--problem", str(problem),
+            "--plan", str(plan),
+            "--predicates", "has_taxi",
+        )
+        assert code == 0
+        assert stdout.strip() == "(no edits needed)"
+
+    @pytest.mark.parametrize("flag", ["--uns-expansions", "--time-seconds"])
+    def test_zero_budget_rejected(self, capsys, t2_files, flag):
+        code, _, stderr = run(
+            capsys, "repair",
+            "--domain", str(t2_files / "domain.pddl"),
+            "--problem", str(t2_files / "problem.pddl"),
+            flag, "0",
+        )
+        assert code == 1
+        assert "error: budgets must be positive" in stderr
+
     def test_no_solution_exit_code(self, capsys, t2_files):
         code, _, stderr = run(
             capsys, "repair",

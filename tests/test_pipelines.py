@@ -21,9 +21,9 @@ from modelspace.pipelines import (
     PIPELINE_KINDS,
     POST_PROCESSOR,
     PRE_PROCESSOR,
-    SearchBudgets,
     run_pipeline,
 )
+from modelspace.planner import Budget
 
 CFG = ProviderConfig(context_limit=10**6)
 T2_SPACE_PREDS = {"has_taxi", "has_bus", "at"}
@@ -120,10 +120,9 @@ class TestPostProcessor:
 
     def test_budget_exhaustion_reported(self, t2):
         space = build_edit_space(t2, predicates=T2_SPACE_PREDS)
-        budgets = SearchBudgets(unsolvability_expansions=1)
         out = run_pipeline(
             POST_PROCESSOR, t2_task(t2), scripted("1"), CFG,
-            space=space, budgets=budgets,
+            space=space, budget=Budget(max_expansions=1),
         )
         assert out.failure == f"{FAIL_NO_SOLUTION}:budget_exhausted"
 

@@ -203,8 +203,10 @@ class TestSolveIsExact:
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_executability_compilation(self, travel_exec_model, budget):
+        """Step-fluent models, as `compile_executability` builds them, with
+        and without an edit search compiled over them."""
         plan = load_plan("d5_plan.txt")
-        task = RepairTask(travel_exec_model, EXECUTABILITY, plan)
+        task = RepairTask(compile_executability(travel_exec_model, plan), UNSOLVABILITY)
         space = build_edit_space(travel_exec_model, predicates={"has_bus", "has_taxi"})
         for gt in (
             ground_task(compile_executability(travel_exec_model, plan)),

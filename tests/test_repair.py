@@ -9,6 +9,7 @@ import pytest
 
 from conftest import load_plan
 from modelspace.benchgen.corpus import generate_corpus
+from modelspace.compilation import compile_executability
 from modelspace.edits import (
     ADD_INIT,
     REMOVE_INIT,
@@ -16,6 +17,7 @@ from modelspace.edits import (
     UNSOLVABILITY,
     ModelEdit,
     RepairTask,
+    apply_edits,
     assign_rank_costs,
     build_edit_space,
 )
@@ -28,10 +30,13 @@ from modelspace.pddl import (
 )
 from modelspace.planner import (
     Budget,
+    Plan,
     SearchStats,
     _mask,
     _successor_index,
+    missing_init_atoms,
     solve,
+    validate_plan,
 )
 from modelspace.repair import (
     BUDGET_EXHAUSTED,
@@ -425,8 +430,9 @@ class TestLazySearchIsExact:
         assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
 
     def test_executability_compilation(self, travel_exec_model):
+        """A step-fluent model, as `compile_executability` builds it."""
         plan = load_plan("d5_plan.txt")
-        task = RepairTask(travel_exec_model, EXECUTABILITY, plan)
+        task = RepairTask(compile_executability(travel_exec_model, plan), UNSOLVABILITY)
         space = build_edit_space(travel_exec_model, predicates={"has_bus", "has_taxi"})
         comp = _compile_edit_search(task, unit(space))
         b = Budget(10_000, 7200.0)
@@ -528,3 +534,100 @@ class TestSearchIsExact:
         assert oracle, "single-edit fix must exist (restore the victim)"
         assert sol.total_cost == 1
         assert sol.edits in oracle
+
+
+def exec_case(kind, seed, cut=0, decoys=3):
+    """A corpus instance, the executability task of its target plan less
+    the last `cut` steps, and a small space: an addition of each atom that
+    plan lacks, then a few other relevant additions."""
+    inst = generate_corpus([kind], 1, seed=seed)[0]
+    steps = inst.target_plan.steps[:len(inst.target_plan.steps) - cut]
+    task = RepairTask(inst.perturbed, EXECUTABILITY, Plan(steps, float(len(steps))))
+    missing = missing_init_atoms(task.base, task.target_plan)
+    needed = [ModelEdit(ADD_INIT, a) for a in sorted(missing)]
+    others = [e for e in default_edit_space(kind, inst.perturbed) if e not in needed]
+    return inst, task, needed + others[:decoys]
+
+
+def brute_force_valid_sets(model, plan, space):
+    """Every subset of `space` that makes the plan valid in `model`, by
+    size; each subset is judged twice, by `validate_plan` on the repaired
+    model and by `solve` on its step-fluent compilation."""
+    valid = []
+    for r in range(len(space) + 1):
+        for combo in itertools.combinations(space, r):
+            repaired = apply_edits(model, combo)
+            verdict = validate_plan(repaired, plan).valid
+            compiled = solve(ground_task(compile_executability(repaired, plan)))
+            assert verdict == compiled.solved
+            if verdict:
+                valid.append(frozenset(combo))
+    return valid
+
+
+def assert_proven_insufficient(task, space):
+    for out in (
+        enumerate_solutions(task, space),
+        repair_min_cost(task, assign_rank_costs(space)),
+    ):
+        assert isinstance(out, NoSolution) and out.reason == PROVEN_INSUFFICIENT
+
+
+EXEC_CASES = [
+    (kind, seed) for kind in ("travel", "barman_simple", "logistics") for seed in (1, 2)
+]
+
+
+class TestExecutabilityClosedForm:
+    """`missing_init_atoms`, and both entry points, which answer
+    executability with it, against brute force over every subset of a
+    small space."""
+
+    @pytest.mark.parametrize("cut", [0, 1], ids=["plan", "goal_unmet"])
+    @pytest.mark.parametrize("kind, seed", EXEC_CASES)
+    def test_unique_minimal_repair(self, kind, seed, cut):
+        """Cut short by a step, the plan leaves a goal atom to add too."""
+        _, task, space = exec_case(kind, seed, cut)
+        needed = frozenset(
+            ModelEdit(ADD_INIT, a)
+            for a in missing_init_atoms(task.base, task.target_plan)
+        )
+        assert needed and needed <= set(space)
+        valid = brute_force_valid_sets(task.base, task.target_plan, space)
+        assert [s for s in valid if not any(o < s for o in valid)] == [needed]
+        assert enumerate_solutions(task, space) == [needed]
+        ranked = assign_rank_costs(space)
+        sol = repair_min_cost(task, ranked)
+        assert sol.edits == needed
+        assert sol.total_cost == sum(c for e, c in ranked if e in needed)
+
+    @pytest.mark.parametrize("kind, seed", EXEC_CASES)
+    def test_ranked_list_without_a_needed_atom(self, kind, seed):
+        _, task, space = exec_case(kind, seed)
+        needed = missing_init_atoms(task.base, task.target_plan)
+        rest = [e for e in space if e.atom != min(needed)]
+        assert not brute_force_valid_sets(task.base, task.target_plan, rest)
+        assert_proven_insufficient(task, rest)
+
+    @pytest.mark.parametrize("kind, seed", EXEC_CASES)
+    def test_plan_deleting_a_needed_atom(self, kind, seed):
+        """The first step run twice needs again an atom it deleted, as a
+        travel move from the city it has just left."""
+        _, task, space = exec_case(kind, seed)
+        steps = task.target_plan.steps
+        plan = Plan(steps[:1] + steps, len(steps) + 1.0)
+        assert missing_init_atoms(task.base, plan) is None
+        assert not brute_force_valid_sets(task.base, plan, space)
+        assert_proven_insufficient(RepairTask(task.base, EXECUTABILITY, plan), space)
+
+    @pytest.mark.parametrize("kind, seed", EXEC_CASES)
+    def test_already_valid_plan(self, kind, seed):
+        inst, _, space = exec_case(kind, seed)
+        solvable = inst.perturbed.with_init(
+            inst.perturbed.problem.init | inst.deleted_facts
+        )
+        task = RepairTask(solvable, EXECUTABILITY, inst.target_plan)
+        assert missing_init_atoms(solvable, inst.target_plan) == frozenset()
+        assert enumerate_solutions(task, space) == [frozenset()]
+        sol = repair_min_cost(task, assign_rank_costs(space))
+        assert (sol.edits, sol.total_cost) == (frozenset(), 0.0)
