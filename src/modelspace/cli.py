@@ -146,6 +146,8 @@ def cmd_repair(args, config) -> int:
 
 
 def cmd_run(args, config) -> int:
+    if args.jobs <= 0:
+        raise ValueError("--jobs must be positive")
     instances = [benchgen.read_instance(p) for p in benchgen.list_instances(args.bench)]
     if not instances:
         print(f"no instances under {args.bench}", file=sys.stderr)

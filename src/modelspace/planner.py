@@ -52,8 +52,8 @@ class SearchStats:
     """Work one search did. `expansions` counts nodes expanded. What
     `generated` counts depends on the search: `solve` counts pushes that
     lower a state's cost; `repair._search` counts every applicable
-    successor, pushed or not, including edit children its lazy fan-out has
-    reserved but not yet materialised."""
+    successor, queued or not, including edit children its lazy fan-out
+    counts when their parent is expanded but has not yet materialised."""
 
     expansions: int = 0
     generated: int = 0

@@ -11,12 +11,16 @@ compiled task: the edit actions of the plan are the repair. Enumeration
 runs `_search`, which keeps the applied edit set in each node so it can go
 on past the first solution; its nodes are int bitmasks over atom and edit
 indices, keyed on one packed int, and edit sets are decoded to `ModelEdit`s
-only when it returns. It needs one cost for every edit: an editing node's
-edit children are then pushed one at a time (partial expansion, as in
-EPEA*), and an executing node tries only the original actions whose
-watched precondition atom it holds (the successor index `planner.solve`
-also uses, as in Fast Downward). Both keep the expansion order of a search
-that pushes every child and scans every action.
+only when it returns. It needs one positive cost for every edit: a node's
+cost is then fixed by its edit-set size, so nodes wait in one FIFO deque
+per size (a bucket queue) instead of a heap, an editing node's edit
+children are pushed one at a time (partial expansion, as in EPEA*), and an
+executing node tries only the original actions whose watched precondition
+atom it holds (the successor index `planner.solve` also uses, as in Fast
+Downward). The superset prune tests each edit set only against the
+solutions found since it was last tested. All of this keeps the expansion
+order of a priority-queue search that pushes every child, scans every
+action and tests every solution.
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a
 fact.
@@ -34,8 +38,8 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from .edits import (
     ADD_INIT,
@@ -172,24 +176,37 @@ def _search(comp: _Compiled, budget: Budget):
     """Uniform-cost enumeration over (state, applied-edit-set) nodes.
 
     A state is an int bitmask over atom indices and an edit set an int
-    bitmask over edit indices; `best` and `closed` key a node on the single
-    int ``state | edset << len(task.atoms)``. Edits are forced into ascending
-    index order so each edit set is explored once. Returns (solutions,
-    exhausted, stats): solutions is a list of (edit frozenset, cost) in the
-    order found, decoded from their masks on return.
+    bitmask over edit indices. Edits are forced into ascending index order
+    so each edit set is explored once. Returns (solutions, exhausted,
+    stats): solutions is a list of (edit frozenset, cost) in the order
+    found, decoded from their masks on return.
+
+    Every edit costs the same positive amount (a ValueError otherwise) and
+    ``_end_editing`` and the original actions cost nothing, so a node's cost
+    is fixed by the size of its edit set. Nodes are therefore queued in one
+    FIFO deque per edit-set size, the current size's and the next (a bucket
+    queue, Dial 1969), and pop in the order a priority queue on (cost,
+    insertion counter) gives them. All executing nodes of one edit set cost
+    the same, so the first path to a key ``state | edset << len(task.atoms)``
+    is a cheapest one: the key is queued once, the first time it is
+    generated, and recorded in `seen`.
 
     An editing-phase node has one state per edit set and one path to it, so
-    it needs no `best` or `closed` entry. Its edit children all cost the
-    same (a ValueError otherwise) and take consecutive counters, so they are
-    fanned out lazily: one heap entry ``(g, counter, state, edset, i)`` with
-    ``i >= 0`` stands for child i of the node (state, edset), and popping it
-    pushes child i + 1 with the next counter before child i is
-    materialised. Nothing can pop between two siblings, so the nodes pop in
-    the order an eager push of all children gives, with the same counters
-    and the same `stats.generated`. In the executing phase only original
-    actions can fire, and they are looked up by their watched atoms (see
-    `planner._successor_index`); in the editing phase only the edits and
-    ``_end_editing`` can.
+    it is never looked up in `seen`. Its edit children are fanned out
+    lazily: one entry ``(state, edset, i)`` with ``i >= 0`` stands for
+    child i of the node (state, edset), and popping it puts child i + 1 at
+    the front of the current deque before child i is materialised, which is
+    where an eager push of all children would have it. `stats.generated`
+    counts all k children when the parent is expanded. In the executing
+    phase only original actions can fire, and they are looked up by their
+    watched atoms (see `planner._successor_index`); in the editing phase
+    only the edits and ``_end_editing`` can.
+
+    A node whose edit set contains a solution found earlier is pruned: no
+    new minimal solution lies beyond it. Size-1 solutions are tested as one
+    mask, `singles`; each edit set remembers how many of the larger
+    solutions it has already been tested against and is tested only
+    against those found since.
     """
     task = comp.task
     start = time.monotonic()
@@ -202,6 +219,11 @@ def _search(comp: _Compiled, budget: Budget):
             f"fan-out relies on it), got costs {sorted(costs)}"
         )
     edit_cost = costs.pop() if costs else 0.0
+    if n_edits and not edit_cost > 0:
+        raise ValueError(
+            "repair enumeration needs a positive edit cost (its queue orders "
+            f"nodes by edit-set size), got cost {edit_cost}"
+        )
     edit_adds = [_mask(a.add) for a in comp.edit_actions]
     editing, executing = 1 << comp.editing, 1 << comp.executing
     watched, candidates = _successor_index(
@@ -210,71 +232,74 @@ def _search(comp: _Compiled, budget: Budget):
     shift = len(task.atoms)
     goal = _mask(task.goal)
 
-    heap = [(0.0, 0, _mask(task.init), 0, -1)]
-    best = {}
-    closed = set()
-    counter = 1
-    cached: list[int] = []
-    cached_costs: list[float] = []
+    seen = set()
+    found: list[tuple[int, float]] = []
+    singles = 0
+    larger: list[int] = []
+    tested: dict[int, int] = {}  # edit set -> larger solutions tested against
 
     def result(exhausted):
         stats.elapsed = time.monotonic() - start
         solutions = [
             (frozenset(e for i, e in enumerate(comp.edits) if edset >> i & 1), g)
-            for edset, g in zip(cached, cached_costs)
+            for edset, g in found
         ]
         return solutions, exhausted, stats
 
-    while heap:
-        g, tie, state, edset, i = heappop(heap)
-        if i >= 0:  # edit child i of (state, edset)
-            if i + 1 < n_edits:
-                heappush(heap, (g, tie + 1, state, edset, i + 1))
-            state |= edit_adds[i]
-            edset |= 1 << i
-        edkey = edset << shift
-        if not state & editing:  # an editing node is reached only once
-            key = state | edkey
-            if key in closed:
+    size, g = 0, 0.0
+    now = deque([(_mask(task.init), 0, -1)])
+    while now:
+        after = deque()  # nodes one edit larger
+        while now:
+            state, edset, i = now.popleft()
+            if i >= 0:  # edit child i of (state, edset)
+                if i + 1 < n_edits:
+                    now.appendleft((state, edset, i + 1))
+                state |= edit_adds[i]
+                edset |= 1 << i
+            if edset & singles:
                 continue
-            closed.add(key)
-        # supersets (and duplicates) of cached solutions cannot yield new
-        # minimal solutions
-        if any(c & edset == c for c in cached):
-            continue
-        if goal & state == goal:
-            cached.append(edset)
-            cached_costs.append(g)
-            continue
-        if stats.expansions >= budget.max_expansions or (
-            stats.expansions % 256 == 0
-            and time.monotonic() - start > budget.max_seconds
-        ):
-            return result(False)
-        stats.expansions += 1
+            n = tested.get(edset, 0)
+            if n < len(larger):
+                if any(c & edset == c for c in larger[n:]):
+                    continue
+                tested[edset] = len(larger)
+            if goal & state == goal:
+                found.append((edset, g))
+                if size == 1:
+                    singles |= edset
+                else:
+                    larger.append(edset)
+                continue
+            if stats.expansions >= budget.max_expansions or (
+                stats.expansions % 256 == 0
+                and time.monotonic() - start > budget.max_seconds
+            ):
+                return result(False)
+            stats.expansions += 1
 
-        if state & editing:
-            fan_out = n_edits - 1 - i
-            if fan_out:
-                heappush(heap, (g + edit_cost, counter, state, edset, i + 1))
-                counter += fan_out
-                stats.generated += fan_out
-            # `_end_editing` costs nothing
-            successors = (((state & ~editing) | executing, g),)
-        else:
-            successors = [
-                ((state & keep) | add, g + cost)
-                for pre, add, keep, cost, _ in candidates(state & watched)
-                if pre & state == pre
-            ]
-        for succ, ng in successors:
-            nkey = succ | edkey
-            old = best.get(nkey)
-            if old is None or ng < old:
-                best[nkey] = ng
-                heappush(heap, (ng, counter, succ, edset, -1))
-            counter += 1
-            stats.generated += 1
+            edkey = edset << shift
+            if state & editing:
+                fan_out = n_edits - 1 - i
+                if fan_out:
+                    after.append((state, edset, i + 1))
+                    stats.generated += fan_out
+                successors = ((state & ~editing) | executing,)
+            else:
+                successors = [
+                    (state & keep) | add
+                    for pre, add, keep, _, _ in candidates(state & watched)
+                    if pre & state == pre
+                ]
+            stats.generated += len(successors)
+            for succ in successors:
+                key = succ | edkey
+                if key not in seen:
+                    seen.add(key)
+                    now.append((succ, edset, -1))
+        now = after
+        size += 1
+        g += edit_cost
 
     return result(True)
 

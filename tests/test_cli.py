@@ -168,6 +168,18 @@ class TestRunAndReport:
         assert code == 1
         assert "no instances" in stderr
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_rejected(self, capsys, tmp_path, jobs):
+        bench = tmp_path / "bench"
+        run(capsys, "gen", "--domain", "travel", "--count", "1", "--out", str(bench))
+        out = tmp_path / "r.jsonl"
+        code, _, stderr = run(
+            capsys, "run", "--bench", str(bench), "--jobs", jobs, "--out", str(out),
+        )
+        assert code == 1
+        assert "error: --jobs must be positive" in stderr
+        assert not out.exists()
+
 
 class TestValidate:
     def test_invalid_plan_exit_1(self, capsys, t2_files):

@@ -421,6 +421,62 @@ class TestLazySearchIsExact:
         b = Budget(budget, 7200.0)
         assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
 
+    @pytest.mark.parametrize("budget", [1, 2, 3, 37, 100, 5000])
+    @pytest.mark.parametrize("kind, size", [
+        ("barman_simple", {"n_cocktails": 2}),
+        ("logistics_simple", {"n_islands": 2}),
+        ("logistics", {"n_cities": 2, "n_locations": 2}),
+    ])
+    def test_narrow_corpus_spaces(self, kind, size, budget):
+        """The other corpus kinds, at the sizes the benchmark generates: a
+        handful of kept edits, searches that finish and one that does not."""
+        task, space = corpus_task(kind, 2, **size)
+        comp = _compile_edit_search(task, unit(space))
+        b = Budget(budget, 7200.0)
+        assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
+
+    def test_no_edit_kept(self, t2):
+        """Removals never pass the relevance filter, so the search runs with
+        no edit and no edit cost and proves the space insufficient."""
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = build_edit_space(t2, predicates={"has_taxi"}, kinds=(REMOVE_INIT,))
+        comp = _compile_edit_search(task, unit(space))
+        assert space and comp.edits == []
+        outcome = search_outcome(_search(comp, Budget()))
+        assert outcome == search_outcome(eager_search(comp, Budget()))
+        assert outcome[:2] == ([], True)
+
+    def test_incremental_superset_prune(self):
+        """{s} solves alone and prunes every edit set holding s through the
+        size-1 mask. {p, q}'s executing node expands into its `fin1` and
+        `fin2` goal nodes, queued behind {a, b}'s. When the `fin1` node pops,
+        {p, q} is tested against {a, b}, remembered as tested against one
+        larger solution, and found. The `fin2` node must then be tested
+        against the solution found since, itself, and pruned, not found
+        again."""
+        domain = parse_domain("""(define (domain prune) (:requirements :strips)
+          (:predicates (a) (b) (p) (q) (s) (done) (x1) (x2))
+          (:action win :parameters () :precondition (s) :effect (done))
+          (:action ab :parameters () :precondition (and (a) (b)) :effect (done))
+          (:action fin1 :parameters () :precondition (and (p) (q))
+            :effect (and (done) (x1)))
+          (:action fin2 :parameters () :precondition (and (p) (q))
+            :effect (and (done) (x2))))""")
+        problem = parse_problem(
+            "(define (problem p) (:domain prune) (:init) (:goal (done)))", domain
+        )
+        task = RepairTask(Model(domain, problem), UNSOLVABILITY)
+        a, b, p, q, s = (ModelEdit(ADD_INIT, GroundAtom(n, ())) for n in "abpqs")
+        comp = _compile_edit_search(task, unit([a, b, p, q, s]))
+        assert comp.edits == [a, b, p, q, s]
+        outcome = search_outcome(_search(comp, Budget()))
+        assert outcome == search_outcome(eager_search(comp, Budget()))
+        assert outcome[:2] == ([
+            (frozenset({s}), 1.0),
+            (frozenset({a, b}), 2.0),
+            (frozenset({p, q}), 2.0),
+        ], True)
+
     @pytest.mark.parametrize("budget", [3, 100, 5000])
     def test_t2(self, t2, budget):
         task = RepairTask(t2, UNSOLVABILITY)
@@ -445,6 +501,15 @@ class TestLazySearchIsExact:
         space = build_edit_space(t2, predicates={"has_taxi", "has_bus"})
         comp = _compile_edit_search(task, [(e, 1.0 + i % 2) for i, e in enumerate(space)])
         with pytest.raises(ValueError, match="one cost for every edit"):
+            _search(comp, Budget())
+
+    @pytest.mark.parametrize("cost", [0.0, -1.0])
+    def test_refuses_non_positive_edit_cost(self, t2, cost):
+        task = RepairTask(t2, UNSOLVABILITY)
+        space = build_edit_space(t2, predicates={"has_taxi", "has_bus"})
+        comp = _compile_edit_search(task, [(e, cost) for e in space])
+        assert comp.edits
+        with pytest.raises(ValueError, match="positive edit cost"):
             _search(comp, Budget())
 
 
