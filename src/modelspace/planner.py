@@ -8,6 +8,10 @@ every ground action; `repair._search` uses the same index. Its candidate
 cache lives inside each call and there is no module-level state, so both
 entry points are pure functions over immutable inputs, and running many
 instances in parallel worker threads is safe.
+
+`relevant_actions` and `relaxed_reach` are the cheap tests min-cost repair
+puts before each `solve`: backward relevance to the goal, and the goal's
+delete-relaxed reachability, both over int bitmasks.
 """
 from __future__ import annotations
 
@@ -53,7 +57,10 @@ class SearchStats:
     `generated` counts depends on the search: `solve` counts pushes that
     lower a state's cost; `repair._search` counts every applicable
     successor, queued or not, including edit children its lazy fan-out
-    counts when their parent is expanded but has not yet materialised."""
+    counts when their parent is expanded but has not yet materialised.
+    `repair.repair_min_cost` counts edit sets: `expansions` the sets
+    popped and `generated` the sets pushed, each plus what its `solve`
+    calls counted."""
 
     expansions: int = 0
     generated: int = 0
@@ -168,6 +175,50 @@ def _successor_index(actions, always_true: int | None = None):
         return found
 
     return watched, candidates
+
+
+def relevant_actions(actions, goal: int) -> list[int]:
+    """Indices, ascending, of the backward-relevant actions among
+    `actions`, given as ``(pre, add)`` masks: those that add a `goal` atom
+    or a precondition atom of another relevant action (Nebel, Dimopoulos &
+    Koehler 1997). Under positive preconditions and goals, dropping the
+    rest from a plan removes no atom a later step or the goal needs, so it
+    never changes solvability."""
+    need, keep, pending = goal, [], list(range(len(actions)))
+    while True:
+        before, rest = need, []
+        for i in pending:
+            pre, add = actions[i]
+            if add & need:
+                keep.append(i)
+                need |= pre
+            else:
+                rest.append(i)
+        if need == before:
+            return sorted(keep)
+        pending = rest
+
+
+def relaxed_reach(actions, state: int) -> tuple[int, list[int]]:
+    """Delete-relaxed reachability from `state` over `actions`, given as
+    ``(pre, add)`` masks: returns (the atoms reachable when deletes are
+    ignored, indices, ascending, of the actions applicable among them).
+    An atom outside it holds in no state reachable from `state`, so a goal
+    outside it proves the task unsolvable (h^max = infinity; Bonet &
+    Geffner 2001)."""
+    fired, pending = [], list(range(len(actions)))
+    while True:
+        before, rest = state, []
+        for i in pending:
+            pre, add = actions[i]
+            if pre & state == pre:
+                fired.append(i)
+                state |= add
+            else:
+                rest.append(i)
+        if state == before:
+            return state, sorted(fired)
+        pending = rest
 
 
 def _mask(indices) -> int:

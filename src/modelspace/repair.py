@@ -4,23 +4,30 @@ Executability needs no search: its one minimal repair is the set of atoms
 the target plan needs and lacks (`planner.missing_init_atoms`), returned
 when the space holds it and PROVEN_INSUFFICIENT otherwise.
 
-For unsolvability, both entry points compile candidate initial-state
-additions into zero-parameter actions that are only applicable in an
-initial "editing" phase. Min-cost repair runs `planner.solve` on the
-compiled task: the edit actions of the plan are the repair. Enumeration
-runs `_search`, which keeps the applied edit set in each node so it can go
-on past the first solution; its nodes are int bitmasks over atom and edit
-indices, keyed on one packed int, and edit sets are decoded to `ModelEdit`s
-only when it returns. It needs one positive cost for every edit: a node's
-cost is then fixed by its edit-set size, so nodes wait in one FIFO deque
-per size (a bucket queue) instead of a heap, an editing node's edit
-children are pushed one at a time (partial expansion, as in EPEA*), and an
-executing node tries only the original actions whose watched precondition
-atom it holds (the successor index `planner.solve` also uses, as in Fast
-Downward). The superset prune tests each edit set only against the
-solutions found since it was last tested. All of this keeps the expansion
-order of a priority-queue search that pushes every child, scans every
-action and tests every solution.
+For unsolvability, min-cost repair walks edit sets in nondecreasing total
+cost over one grounding of the task. Each set is first put to a cheap
+necessary test, delete-relaxed reachability of the goal over the
+backward-relevant actions (`planner.relaxed_reach`,
+`planner.relevant_actions`), and only a set that passes is checked
+exactly, by `planner.solve` over the relevant actions the relaxed pass
+reached. The first set solved is the cheapest sound one.
+
+Enumeration compiles candidate initial-state additions into
+zero-parameter actions that are only applicable in an initial "editing"
+phase and runs `_search`, which keeps the applied edit set in each node so
+it can go on past the first solution; its nodes are int bitmasks over atom
+and edit indices, keyed on one packed int, and edit sets are decoded to
+`ModelEdit`s only when it returns. It needs one positive cost for every
+edit: a node's cost is then fixed by its edit-set size, so nodes wait in
+one FIFO deque per size (a bucket queue) instead of a heap, an editing
+node's edit children are pushed one at a time (partial expansion, as in
+EPEA*), and an executing node tries only the original actions whose
+watched precondition atom it holds (the successor index `planner.solve`
+also uses, as in Fast Downward). The superset prune tests each edit set
+only against the solutions found since it was last tested. All of this
+keeps the expansion order of a priority-queue search that pushes every
+child, scans every action and tests every solution.
+Both searches keep the same edits of the space (`_kept_edits`).
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a
 fact.
@@ -31,15 +38,17 @@ before it is handed back. For unsolvability, a witness plan is checked
 first with `validate_plan` (VAL-style simulation, independent of the
 search): a valid witness proves the repair sound with no grounding and no
 `solve`, and a failed one is logged and the repaired model is solved
-afresh. `repair_min_cost` hands on the original-action steps of its plan as
-the witness.
+afresh. `repair_min_cost` hands on the plan `solve` found for the chosen
+set as the witness.
 """
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .edits import (
     ADD_INIT,
@@ -53,13 +62,14 @@ from .pddl.ground import GroundAction
 from .planner import (
     BUDGET_EXHAUSTED,
     SOLVED,
-    UNSOLVABLE,
     Budget,
     SearchStats,
     UnknownAction,
     _mask,
     _successor_index,
     missing_init_atoms,
+    relaxed_reach,
+    relevant_actions,
     solve,
     validate_plan,
 )
@@ -118,9 +128,29 @@ def _normalize_space(space) -> tuple[list[ModelEdit], list[float]]:
     return edits, costs
 
 
+def _kept_edits(gt: GroundTask, space) -> list[tuple[ModelEdit, int, float]]:
+    """The edits of `space` both searches use, in space order, each with
+    its atom's index in `gt` and its cost.
+
+    Preconditions are positive-only, so neither a removal nor an addition
+    whose atom appears in no precondition and not in the goal can be part
+    of a minimal solution; dropping such edits (and hallucinated atoms
+    outside the universe entirely) keeps the branching factor down.
+    """
+    relevant = set(gt.goal)
+    for act in gt.actions:
+        relevant |= act.pre
+    kept = []
+    for edit, cost in zip(*_normalize_space(space)):
+        idx = gt.atom_index.get(edit.atom)
+        if edit.kind == ADD_INIT and idx is not None and idx in relevant:
+            kept.append((edit, idx, cost))
+    return kept
+
+
 def _compile_edit_search(task: RepairTask, space) -> _Compiled:
     gt = ground_task(task.base)
-    edits, costs = _normalize_space(space)
+    kept = _kept_edits(gt, space)
 
     atoms = list(gt.atoms)
     atom_index = dict(gt.atom_index)
@@ -134,26 +164,13 @@ def _compile_edit_search(task: RepairTask, space) -> _Compiled:
         atoms.append(extra)
     e_idx, x_idx = atom_index[editing], atom_index[executing]
 
-    # Preconditions are positive-only, so neither a removal nor an addition
-    # whose atom appears in no precondition and not in the goal can be part
-    # of a minimal solution; dropping such edits (and hallucinated atoms
-    # outside the universe entirely) keeps the branching factor down.
-    relevant = set(gt.goal)
-    for act in gt.actions:
-        relevant |= act.pre
-
-    edit_actions = []
-    kept_edits = []
-    for edit, cost in zip(edits, costs):
-        idx = atom_index.get(edit.atom)
-        if edit.kind != ADD_INIT or idx is None or idx not in relevant:
-            continue
-        edit_actions.append(GroundAction(
-            f"_edit_{len(edit_actions):04d}", (), pre=frozenset({e_idx}),
+    edit_actions = [
+        GroundAction(
+            f"_edit_{i:04d}", (), pre=frozenset({e_idx}),
             add=frozenset({idx}), dele=frozenset(), cost=cost,
-        ))
-        kept_edits.append(edit)
-
+        )
+        for i, (_, idx, cost) in enumerate(kept)
+    ]
     end_editing = GroundAction(
         _END_EDITING, (), pre=frozenset({e_idx}),
         add=frozenset({x_idx}), dele=frozenset({e_idx}), cost=0.0,
@@ -169,7 +186,9 @@ def _compile_edit_search(task: RepairTask, space) -> _Compiled:
         init=gt.init | {e_idx},
         goal=gt.goal,
     )
-    return _Compiled(compiled_task, edit_actions, kept_edits, e_idx, x_idx)
+    return _Compiled(
+        compiled_task, edit_actions, [e for e, _, _ in kept], e_idx, x_idx
+    )
 
 
 def _search(comp: _Compiled, budget: Budget):
@@ -352,39 +371,106 @@ def verify_repair(task: RepairTask, edits, budget: Budget | None = None) -> bool
 def repair_min_cost(
     task: RepairTask, space, budget: Budget | None = None
 ) -> RepairSolution | NoSolution:
-    """Min-cost sound edit set expressible from `space` (Dijkstra-optimal,
-    or in closed form for executability)."""
+    """Min-cost sound edit set expressible from `space` (exact, or in
+    closed form for executability). Edit costs must be >= 0 (ValueError
+    otherwise). When several sets tie for the minimum, any one of them may
+    come back; under doubling rank costs every set has its own total, so
+    the answer is unique.
+
+    For unsolvability, edit sets are popped in nondecreasing total cost:
+    the kept edits, less those whose atom already holds (they change no
+    state), are sorted by (cost, space order), and a popped set whose
+    largest member is i has two children, add i + 1 and swap i for i + 1,
+    which reaches every subset once and never a cheaper one. A popped set
+    whose goal is delete-relaxed unreachable over the backward-relevant
+    actions is refuted without search; any other is checked by `solve`
+    over the relevant actions the relaxed pass reached, and the first one
+    solved is the answer, its plan the witness for `judge`. When the goal
+    is relaxed unreachable even with every kept edit, the answer is
+    PROVEN_INSUFFICIENT with no set popped. The budget's expansions count
+    popped sets plus `solve` expansions; `stats.generated` counts pushed
+    sets plus `solve`'s generated nodes.
+    """
+    for edit, cost in zip(*_normalize_space(space)):
+        if not cost >= 0:
+            raise ValueError(
+                "min-cost repair needs edit costs >= 0 (it walks edit sets "
+                f"cheapest first), got cost {cost} for {edit}"
+            )
     if task.use_case != UNSOLVABILITY:
         found = _executability_repair(task, space)
         if isinstance(found, NoSolution) or judge(task, found.edits) == SOUND:
             return found
         raise AssertionError("internal invariant violation: closed-form repair is unsound")
     budget = budget or Budget()
-    comp = _compile_edit_search(task, space)
-    verdict = solve(comp.task, budget)
-    if verdict.status == BUDGET_EXHAUSTED:
-        stats = verdict.stats
-        logger.debug(
-            "min-cost search stopped at budget: %d expansions, %d generated, "
-            "%.3f s; %s reached; %d edits kept",
-            stats.expansions, stats.generated, stats.elapsed,
-            _limit_reached(stats, budget), len(comp.edits),
-        )
-    if not verdict.solved:
-        reason = PROVEN_INSUFFICIENT if verdict.status == UNSOLVABLE else BUDGET_EXHAUSTED
-        return NoSolution(reason, verdict.stats)
-    # Edits fire only before `_end_editing` and originals only after it; a
-    # plan whose edits alone reach the goal has no `_end_editing` step.
-    steps = verdict.plan.steps
-    end = (_END_EDITING, ())
-    cut = steps.index(end) if end in steps else len(steps)
-    edit_of = {act.name: edit for act, edit in zip(comp.edit_actions, comp.edits)}
-    edits = frozenset(edit_of[name] for name, _ in steps[:cut])
-    if judge(task, edits, witness=steps[cut + 1:]) != SOUND:
-        raise AssertionError(
-            "internal invariant violation: search returned an unsound repair"
-        )
-    return RepairSolution(edits, verdict.plan.cost, verdict.stats)
+    start = time.monotonic()
+    stats = SearchStats()
+    gt = ground_task(task.base)
+    kept = _kept_edits(gt, space)
+    init, goal = _mask(gt.init), _mask(gt.goal)
+    walk = sorted((k for k in kept if not init >> k[1] & 1), key=lambda k: k[2])
+    adds = [1 << idx for _, idx, _ in walk]
+    masks = [(_mask(a.pre), _mask(a.add)) for a in gt.actions]
+    relevant = relevant_actions(masks, goal)
+    relevant_masks = [masks[i] for i in relevant]
+
+    def finish(reason):
+        stats.elapsed = time.monotonic() - start
+        if reason == BUDGET_EXHAUSTED:
+            logger.debug(
+                "min-cost search stopped at budget: %d expansions, %d generated, "
+                "%.3f s; %s reached; %d edits kept",
+                stats.expansions, stats.generated, stats.elapsed,
+                _limit_reached(stats, budget), len(kept),
+            )
+        return NoSolution(reason, stats)
+
+    everything = relaxed_reach(relevant_masks, init | _mask(k[1] for k in walk))[0]
+    if goal & everything != goal:
+        return finish(PROVEN_INSUFFICIENT)
+    heap = [(0.0, ())]  # sets of equal cost pop in order of their members
+    while heap:
+        cost, members = heappop(heap)
+        if stats.expansions >= budget.max_expansions or (
+            time.monotonic() - start > budget.max_seconds
+        ):
+            return finish(BUDGET_EXHAUSTED)
+        stats.expansions += 1
+        state = init
+        for j in members:
+            state |= adds[j]
+        state, reached = relaxed_reach(relevant_masks, state)
+        if goal & state == goal:
+            verdict = solve(
+                GroundTask(
+                    gt.atoms, gt.atom_index,
+                    tuple(gt.actions[relevant[j]] for j in reached),
+                    gt.init | {walk[j][1] for j in members}, gt.goal,
+                ),
+                Budget(
+                    budget.max_expansions - stats.expansions,
+                    budget.max_seconds - (time.monotonic() - start),
+                ),
+            )
+            stats.expansions += verdict.stats.expansions
+            stats.generated += verdict.stats.generated
+            if verdict.status == BUDGET_EXHAUSTED:
+                return finish(BUDGET_EXHAUSTED)
+            if verdict.solved:
+                edits = frozenset(walk[j][0] for j in members)
+                if judge(task, edits, witness=verdict.plan.steps) != SOUND:
+                    raise AssertionError(
+                        "internal invariant violation: search returned an unsound repair"
+                    )
+                stats.elapsed = time.monotonic() - start
+                return RepairSolution(edits, cost, stats)
+        nxt = members[-1] + 1 if members else 0
+        if nxt < len(walk):
+            children = [members + (nxt,)] + ([members[:-1] + (nxt,)] if members else [])
+            for child in children:
+                heappush(heap, (math.fsum(walk[j][2] for j in child), child))
+            stats.generated += len(children)
+    return finish(PROVEN_INSUFFICIENT)
 
 
 def _executability_repair(task: RepairTask, space) -> RepairSolution | NoSolution:

@@ -9,6 +9,15 @@ from modelspace.planner import Plan
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# the sizes the oracle benchmark generates at
+SIZES = {
+    "travel": {"n_cities": 6},
+    "roomba": {"rows": 3, "cols": 3},
+    "barman_simple": {"n_cocktails": 2},
+    "logistics_simple": {"n_islands": 2},
+    "logistics": {"n_cities": 2, "n_locations": 2},
+}
+
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()

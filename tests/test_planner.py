@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 
 import pytest
 
-from conftest import load_plan
+from conftest import SIZES, load_plan
 from modelspace.benchgen import ALL_KINDS
 from modelspace.benchgen.corpus import generate_corpus
 from modelspace.compilation import compile_executability
@@ -137,16 +137,6 @@ def scan_solve(task, budget=None):
 def solve_outcome(task, budget=None):
     verdict = solve(task, budget)
     return verdict.status, verdict.plan, verdict.stats.expansions, verdict.stats.generated
-
-
-# the sizes the oracle benchmark generates at
-SIZES = {
-    "travel": {"n_cities": 6},
-    "roomba": {"rows": 3, "cols": 3},
-    "barman_simple": {"n_cocktails": 2},
-    "logistics_simple": {"n_islands": 2},
-    "logistics": {"n_cities": 2, "n_locations": 2},
-}
 
 
 @functools.lru_cache(maxsize=None)

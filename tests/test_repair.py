@@ -1,5 +1,6 @@
 """Repair search correctness against a brute-force subset oracle."""
 
+import functools
 import itertools
 import logging
 import time
@@ -7,7 +8,9 @@ from heapq import heappop, heappush
 
 import pytest
 
-from conftest import load_plan
+from conftest import SIZES, load_plan
+from modelspace import repair
+from modelspace.benchgen import ALL_KINDS
 from modelspace.benchgen.corpus import generate_corpus
 from modelspace.compilation import compile_executability
 from modelspace.edits import (
@@ -21,8 +24,11 @@ from modelspace.edits import (
     assign_rank_costs,
     build_edit_space,
 )
+from modelspace.llm import ProviderConfig
+from modelspace.oracle import OracleProvider
 from modelspace.pddl import (
     GroundAtom,
+    GroundTask,
     Model,
     ground_task,
     parse_domain,
@@ -31,10 +37,14 @@ from modelspace.pddl import (
 from modelspace.planner import (
     Budget,
     Plan,
+    SOLVED,
     SearchStats,
+    UNSOLVABLE,
     _mask,
     _successor_index,
     missing_init_atoms,
+    relaxed_reach,
+    relevant_actions,
     solve,
     validate_plan,
 )
@@ -45,13 +55,14 @@ from modelspace.repair import (
     PROVEN_INSUFFICIENT,
     SOUND,
     _compile_edit_search,
+    _kept_edits,
     _search,
     enumerate_solutions,
     judge,
     repair_min_cost,
     verify_repair,
 )
-from modelspace.runner import default_edit_space
+from modelspace.runner import default_edit_space, run_instance
 
 
 def brute_force_min_sets(task, space, max_size=3):
@@ -696,3 +707,176 @@ class TestExecutabilityClosedForm:
         assert enumerate_solutions(task, space) == [frozenset()]
         sol = repair_min_cost(task, assign_rank_costs(space))
         assert (sol.edits, sol.total_cost) == (frozenset(), 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def ranked_case(kind, seed):
+    """A corpus task at the benchmark's size, its deleted facts as
+    additions, and a few kept additions of other absent atoms."""
+    inst = generate_corpus([kind], 1, seed=seed, **SIZES[kind])[0]
+    task = RepairTask(inst.perturbed, UNSOLVABILITY)
+    family = [ModelEdit(ADD_INIT, a) for a in sorted(inst.deleted_facts)]
+    kept = _kept_edits(ground_task(task.base), build_edit_space(task.base))
+    others = [
+        e for e, _, _ in kept
+        if e not in family and e.atom not in task.base.problem.init
+    ]
+    return task, family, others[:3]
+
+
+RANKED_LISTS = {
+    "deleted": lambda family, decoys: family,
+    "decoys_first": lambda family, decoys: decoys + family,
+    "reversed": lambda family, decoys: family[::-1],
+    "one_missing": lambda family, decoys: decoys + family[1:],
+}
+
+MIN_COST_CASES = [(kind, seed) for kind in ALL_KINDS for seed in (1, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def subset_verdicts(kind, seed):
+    """`solve` on the repaired model of every subset of the case's decoys
+    and deleted facts, keyed by the subset."""
+    task, family, decoys = ranked_case(kind, seed)
+    edits = decoys + family
+    return {
+        frozenset(combo): solve(ground_task(apply_edits(task.base, combo)))
+        for r in range(len(edits) + 1)
+        for combo in itertools.combinations(edits, r)
+    }
+
+
+class TestMinCostIsExact:
+    """`repair_min_cost` under doubling rank costs against brute force over
+    every subset of the ranked list: each subset's sum is its own, so the
+    cheapest sound subset is unique."""
+
+    @pytest.mark.parametrize("ranked", sorted(RANKED_LISTS))
+    @pytest.mark.parametrize("kind, seed", MIN_COST_CASES)
+    def test_unique_optimum(self, kind, seed, ranked):
+        task, family, decoys = ranked_case(kind, seed)
+        space = assign_rank_costs(RANKED_LISTS[ranked](family, decoys))
+        cost = dict(space)
+        sound = {
+            s: sum(cost[e] for e in s)
+            for s, verdict in subset_verdicts(kind, seed).items()
+            if s <= cost.keys() and verdict.solved
+        }
+        out = repair_min_cost(task, space)
+        if ranked == "deleted":
+            assert sound
+        if not sound:
+            assert isinstance(out, NoSolution) and out.reason == PROVEN_INSUFFICIENT
+            return
+        best = min(sound, key=sound.get)
+        assert (out.edits, out.total_cost) == (best, sound[best])
+
+    def test_relaxed_alive_set_that_is_unsound(self, count_calls):
+        """``+(r)`` is the cheapest set the relaxed test lets through: `one`
+        and `two` each need r and delete it, so deletes ignored they reach
+        both goal atoms and in truth only one. The walk solves it, gets
+        UNSOLVABLE, refutes ``+(g2)`` without search and solves
+        ``{+(r), +(g2)}``."""
+        domain = parse_domain("""(define (domain fork) (:requirements :strips)
+          (:predicates (r) (g1) (g2))
+          (:action one :parameters () :precondition (r)
+            :effect (and (g1) (not (r))))
+          (:action two :parameters () :precondition (r)
+            :effect (and (g2) (not (r)))))""")
+        problem = parse_problem(
+            "(define (problem p) (:domain fork) (:init) (:goal (and (g1) (g2))))",
+            domain,
+        )
+        task = RepairTask(Model(domain, problem), UNSOLVABILITY)
+        r, g2, g1 = (ModelEdit(ADD_INIT, GroundAtom(n, ())) for n in ("r", "g2", "g1"))
+        solved = count_calls(repair.solve)
+        sol = repair_min_cost(task, assign_rank_costs([r, g2, g1]))
+        assert (sol.edits, sol.total_cost) == (frozenset({r, g2}), 3.0)
+        assert [solve(*call).status for call in solved] == [UNSOLVABLE, SOLVED]
+        # four sets popped, then `solve`'s three expansions on {+(r)} and one
+        # on {+(r), +(g2)}
+        assert sol.stats.expansions == 4 + 3 + 1
+
+    def test_addition_of_a_true_atom_is_not_walked(self, t2, count_calls):
+        """It changes no state, so no cheapest set needs it: only {} and
+        {fix} are popped."""
+        task = RepairTask(t2, UNSOLVABILITY)
+        present = ModelEdit(ADD_INIT, GroundAtom("has_taxi", ("a", "b")))
+        fix = ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))
+        assert present.atom in t2.problem.init
+        solved = count_calls(repair.solve)
+        sol = repair_min_cost(task, assign_rank_costs([present, fix]))
+        assert (sol.edits, sol.total_cost) == (frozenset({fix}), 2.0)
+        [call] = solved
+        assert sol.stats.expansions == 2 + solve(*call).stats.expansions
+
+    @pytest.mark.parametrize("cost", [-5.0, float("nan")], ids=["negative", "nan"])
+    def test_refuses_negative_or_nan_cost(self, t2, cost):
+        """A negative cost once ran the search until memory ran out."""
+        task = RepairTask(t2, UNSOLVABILITY)
+        fix = ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))
+        useless = ModelEdit(ADD_INIT, GroundAtom("has_taxi", ("c", "a")))
+        with pytest.raises(ValueError, match="needs edit costs >= 0"):
+            repair_min_cost(task, [(fix, 1.0), (useless, cost)], Budget(max_expansions=100))
+
+
+class TestRelaxedFilters:
+    """The two filters of the min-cost walk, on every subset of a small
+    space: delete-relaxed unreachability proves unsolvability, and solving
+    over the backward-relevant actions the relaxed pass reached decides
+    solvability as the full task does, with plans valid on the full
+    model."""
+
+    @pytest.mark.parametrize("kind, seed", MIN_COST_CASES)
+    def test_every_subset(self, kind, seed):
+        task, _, _ = ranked_case(kind, seed)
+        dead = 0
+        for edits, full in subset_verdicts(kind, seed).items():
+            repaired = apply_edits(task.base, edits)
+            gt = ground_task(repaired)
+            masks = [(_mask(a.pre), _mask(a.add)) for a in gt.actions]
+            goal = _mask(gt.goal)
+            relevant = relevant_actions(masks, goal)
+            reached, fired = relaxed_reach([masks[i] for i in relevant], _mask(gt.init))
+            if goal & reached != goal:
+                dead += 1
+                assert full.status == UNSOLVABLE
+            actions = tuple(gt.actions[relevant[j]] for j in fired)
+            restricted = solve(GroundTask(gt.atoms, gt.atom_index, actions, gt.init, gt.goal))
+            assert restricted.solved == full.solved
+            if restricted.solved:
+                assert validate_plan(repaired, restricted.plan).valid
+        assert dead
+
+
+class TestMinCostWork:
+    def test_barman_record_grounds_and_solves_once(self, count_calls):
+        inst = generate_corpus(["barman_simple"], 1, seed=1, **SIZES["barman_simple"])[0]
+        grounded, solved = count_calls(repair.ground_task), count_calls(repair.solve)
+        record = run_instance(
+            inst, "pre_processor", "unsolvability", OracleProvider(inst),
+            ProviderConfig(context_limit=10**6),
+        )
+        assert record["sound"] is True
+        assert (len(grounded), len(solved)) == (1, 1)
+
+    def test_unrepairable_list_never_solves(self, count_calls):
+        task, family, decoys = ranked_case("barman_simple", 1)
+        solved = count_calls(repair.solve)
+        out = repair_min_cost(task, assign_rank_costs(decoys + family[1:]))
+        assert isinstance(out, NoSolution) and out.reason == PROVEN_INSUFFICIENT
+        assert (out.stats.expansions, len(solved)) == (0, 0)
+
+    def test_rank_cost_barman_work_is_pinned(self):
+        """The barman_simple seed 2 task that `TestSolveWork` pins at 3530
+        expansions of the compiled search: five relevant decoys, then the
+        deleted fact, which alone repairs it at cost 32."""
+        inst = generate_corpus(["barman_simple"], 1, seed=2, **SIZES["barman_simple"])[0]
+        task = RepairTask(inst.perturbed, UNSOLVABILITY)
+        kept = _kept_edits(ground_task(task.base), build_edit_space(task.base))
+        family = [ModelEdit(ADD_INIT, a) for a in sorted(inst.deleted_facts)]
+        ranked = [e for e, _, _ in kept if e not in family][:5] + family
+        sol = repair_min_cost(task, assign_rank_costs(ranked))
+        assert (sol.edits, sol.total_cost) == (frozenset({ranked[5]}), 32.0)
+        assert (sol.stats.expansions, sol.stats.generated) == (226, 287)
