@@ -45,7 +45,8 @@ def _perturb_init(model: Model, chosen, family_id: str, rng) -> frozenset[Ground
     init = set(model.problem.init) - set(chosen)
     if family_id == ROOMBA_FAMILY:
         # the inverse transform: the cleared path becomes blocked by furniture
-        for atom in chosen:
+        # sorted: the draws must not follow the frozenset's hash order
+        for atom in sorted(chosen):
             init.add(GroundAtom(rng.choice(_OBSTACLES), atom.args))
     return frozenset(init)
 

@@ -9,9 +9,7 @@ from pathlib import Path
 from . import benchgen, evalharness, runner
 from .benchgen.io import atomic_write
 from .edits import (
-    ADD_INIT,
     EXECUTABILITY,
-    REMOVE_INIT,
     UNSOLVABILITY,
     RepairTask,
     build_edit_space,
@@ -122,10 +120,7 @@ def cmd_repair(args, config) -> int:
     task = _load_task(args)
     budget = _budget(args, config)
     predicates = set(args.predicates.split(",")) if args.predicates else None
-    kinds = tuple(
-        {"add": ADD_INIT, "remove": REMOVE_INIT}[k] for k in args.kinds.split(",")
-    )
-    space = build_edit_space(task.base, predicates=predicates, kinds=kinds)
+    space = build_edit_space(task.base, predicates=predicates)
     if args.pipeline == "cs":
         options = enumerate_solutions(task, space, budget)
         if isinstance(options, NoSolution):
@@ -223,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument("--pipeline", default="cs", choices=["cs", *sorted(_PIPELINE_ALIASES)])
     repair.add_argument("--provider", default="http")
     repair.add_argument("--predicates", help="comma-separated candidate predicates")
-    repair.add_argument("--kinds", default="add")
     _budget_flags(repair)
     _provider_flags(repair)
     repair.set_defaults(fn=cmd_repair)

@@ -58,22 +58,17 @@ class RepairTask:
 
 
 def build_edit_space(
-    model: Model,
-    predicates: set[str] | None = None,
-    kinds: tuple[str, ...] = (ADD_INIT,),
+    model: Model, predicates: set[str] | None = None
 ) -> list[ModelEdit]:
-    """All well-typed candidate initial-state edits of the requested kinds,
-    in deterministic lexicographic order."""
+    """All well-typed initial-state additions of atoms not already true, in
+    deterministic lexicographic order. Removals are never candidates: goals
+    and preconditions are positive, so no minimal repair removes a fact."""
     init = model.problem.init
-    out: list[ModelEdit] = []
-    if ADD_INIT in kinds:
-        for atom in enumerate_ground_atoms(model, predicates):
-            if atom not in init:
-                out.append(ModelEdit(ADD_INIT, atom))
-    if REMOVE_INIT in kinds:
-        for atom in sorted(init):
-            if predicates is None or atom.predicate in predicates:
-                out.append(ModelEdit(REMOVE_INIT, atom))
+    out = [
+        ModelEdit(ADD_INIT, atom)
+        for atom in enumerate_ground_atoms(model, predicates)
+        if atom not in init
+    ]
     if not out:
         raise EmptySpace("no candidate edits for this model")
     return out

@@ -4,10 +4,11 @@
 as masks of its precondition, add and kept atoms, built once per call. An
 expansion tries only the actions that `_successor_index` hands back for the
 state's true watched atoms (the successor generator of Fast Downward), not
-every ground action; `repair._search` uses the same index. Its candidate
-cache lives inside each call and there is no module-level state, so both
-entry points are pure functions over immutable inputs, and running many
-instances in parallel worker threads is safe.
+every ground action; `repair._search` uses the same index for the
+executing nodes of its enumeration. Its candidate cache lives inside each
+call and there is no module-level state, so both entry points are pure
+functions over immutable inputs, and running many instances in parallel
+worker threads is safe.
 
 `relevant_actions` and `relaxed_reach` are the cheap tests min-cost repair
 puts before each `solve`: backward relevance to the goal, and the goal's
@@ -55,9 +56,11 @@ class Plan:
 class SearchStats:
     """Work one search did. `expansions` counts nodes expanded. What
     `generated` counts depends on the search: `solve` counts pushes that
-    lower a state's cost; `repair._search` counts every applicable
-    successor, queued or not, including edit children its lazy fan-out
-    counts when their parent is expanded but has not yet materialised.
+    lower a state's cost; `repair._search` counts every successor, queued
+    or not: each action that applies to an executing node, and an editing
+    node's executing child and edit children, the latter counted when
+    their parent is expanded though its lazy fan-out materialises them
+    later.
     `repair.repair_min_cost` counts edit sets: `expansions` the sets
     popped and `generated` the sets pushed, each plus what its `solve`
     calls counted."""
@@ -139,27 +142,25 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
     return SolveVerdict(UNSOLVABLE, None, stats)
 
 
-def _successor_index(actions, always_true: int | None = None):
+def _successor_index(actions):
     """Index actions by one watched precondition atom each.
 
     An action watches an atom of its precondition that some action deletes
     where it has one (such as ``at(c)``, true in few states), else any
-    precondition atom but `always_true`, an atom true in every state
-    searched (the executing phase of a repair search). One with no
-    precondition besides `always_true` watches nothing and is always a
-    candidate. Returns (watched, candidates): `watched` masks every watched
-    atom, and ``candidates(state & watched)`` lists, in action order, the
-    ``(pre, add, keep, cost, action)`` of each action that watches nothing
-    or an atom in the state; each list is built once per set of true
-    watched atoms, in a cache local to this call. Action order keeps the
-    counters, and so the tie-breaking, of a scan over all actions.
+    precondition atom. One with no precondition watches nothing and is
+    always a candidate. Returns (watched, candidates): `watched` masks
+    every watched atom, and ``candidates(state & watched)`` lists, in
+    action order, the ``(pre, add, keep, cost, action)`` of each action
+    that watches nothing or an atom in the state; each list is built once
+    per set of true watched atoms, in a cache local to this call. Action
+    order keeps the counters, and so the tie-breaking, of a scan over all
+    actions.
     """
     deleted = set().union(*(a.dele for a in actions))
     indexed = []
     watched = 0
     for a in actions:
-        own = a.pre - {always_true}
-        watch = _mask([min(own, key=lambda j: (j not in deleted, j))] if own else ())
+        watch = _mask([min(a.pre, key=lambda j: (j not in deleted, j))] if a.pre else ())
         watched |= watch
         indexed.append(
             (watch, (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost, a))

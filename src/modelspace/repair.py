@@ -12,19 +12,21 @@ backward-relevant actions (`planner.relaxed_reach`,
 exactly, by `planner.solve` over the relevant actions the relaxed pass
 reached. The first set solved is the cheapest sound one.
 
-Enumeration compiles candidate initial-state additions into
-zero-parameter actions that are only applicable in an initial "editing"
-phase and runs `_search`, which keeps the applied edit set in each node so
-it can go on past the first solution; its nodes are int bitmasks over atom
-and edit indices, keyed on one packed int, and edit sets are decoded to
-`ModelEdit`s only when it returns. It needs one positive cost for every
-edit: a node's cost is then fixed by its edit-set size, so nodes wait in
-one FIFO deque per size (a bucket queue) instead of a heap, an editing
-node's edit children are pushed one at a time (partial expansion, as in
-EPEA*), and an executing node tries only the original actions whose
-watched precondition atom it holds (the successor index `planner.solve`
-also uses, as in Fast Downward). The superset prune tests each edit set
-only against the solutions found since it was last tested. All of this
+Enumeration runs `_search` on the same grounding: a node is a state, the
+set of edits applied to the initial state so far, and its phase. While
+editing, a node may apply one more edit, in ascending index order so each
+edit set is built once, or stop editing; while executing, it applies the
+task's actions. The node keeps its edit set so the search can go on past
+the first solution. States and edit sets are int bitmasks over atom and
+edit indices, keyed on one packed int, and edit sets are decoded to
+`ModelEdit`s only when it returns. Every edit counts one, so a node's cost
+is its edit-set size: nodes wait in one FIFO deque per size (a bucket
+queue) instead of a heap, an editing node's edit children are pushed one
+at a time (partial expansion, as in EPEA*), and an executing node tries
+only the actions whose watched precondition atom it holds (the successor
+index `planner.solve` also uses, as in Fast Downward). An edit set is
+tested against the solutions found before it once, when its editing node
+pops; bucket order leaves only itself to find after that. All of this
 keeps the expansion order of a priority-queue search that pushes every
 child, scans every action and tests every solution.
 Both searches keep the same edits of the space (`_kept_edits`).
@@ -57,8 +59,7 @@ from .edits import (
     RepairTask,
     apply_edits,
 )
-from .pddl import GroundAtom, GroundTask, ground_task
-from .pddl.ground import GroundAction
+from .pddl import GroundTask, ground_task
 from .planner import (
     BUDGET_EXHAUSTED,
     SOLVED,
@@ -87,8 +88,6 @@ ENUM_BUDGET = Budget(max_expansions=5_000, max_seconds=7_200.0)
 
 MAX_RETAINED_SOLUTIONS = 20
 
-_END_EDITING = "_end_editing"
-
 
 @dataclass
 class RepairSolution:
@@ -105,14 +104,12 @@ class NoSolution:
 
 @dataclass
 class _Compiled:
-    """Task actions are the edit actions, then ``_end_editing``, then the
-    original actions; `editing` and `executing` index the phase atoms."""
+    """The ground task `_search` enumerates over and its kept edits, with
+    the add mask of each (index-aligned with `edits`)."""
 
     task: GroundTask
-    edit_actions: list[GroundAction]  # index-aligned with edits
     edits: list[ModelEdit]
-    editing: int
-    executing: int
+    adds: list[int]
 
 
 def _normalize_space(space) -> tuple[list[ModelEdit], list[float]]:
@@ -151,144 +148,92 @@ def _kept_edits(gt: GroundTask, space) -> list[tuple[ModelEdit, int, float]]:
 def _compile_edit_search(task: RepairTask, space) -> _Compiled:
     gt = ground_task(task.base)
     kept = _kept_edits(gt, space)
-
-    atoms = list(gt.atoms)
-    atom_index = dict(gt.atom_index)
-    phase = "editing"
-    while GroundAtom(phase) in atom_index or GroundAtom("x" + phase) in atom_index:
-        phase = "x" + phase
-    editing = GroundAtom(phase)
-    executing = GroundAtom("x" + phase)
-    for extra in (editing, executing):
-        atom_index[extra] = len(atoms)
-        atoms.append(extra)
-    e_idx, x_idx = atom_index[editing], atom_index[executing]
-
-    edit_actions = [
-        GroundAction(
-            f"_edit_{i:04d}", (), pre=frozenset({e_idx}),
-            add=frozenset({idx}), dele=frozenset(), cost=cost,
-        )
-        for i, (_, idx, cost) in enumerate(kept)
-    ]
-    end_editing = GroundAction(
-        _END_EDITING, (), pre=frozenset({e_idx}),
-        add=frozenset({x_idx}), dele=frozenset({e_idx}), cost=0.0,
-    )
-    originals = [
-        GroundAction(a.name, a.args, a.pre | {x_idx}, a.add, a.dele, cost=0.0)
-        for a in gt.actions
-    ]
-    compiled_task = GroundTask(
-        atoms=tuple(atoms),
-        atom_index=atom_index,
-        actions=tuple(edit_actions) + (end_editing,) + tuple(originals),
-        init=gt.init | {e_idx},
-        goal=gt.goal,
-    )
-    return _Compiled(
-        compiled_task, edit_actions, [e for e, _, _ in kept], e_idx, x_idx
-    )
+    return _Compiled(gt, [e for e, _, _ in kept], [1 << idx for _, idx, _ in kept])
 
 
 def _search(comp: _Compiled, budget: Budget):
-    """Uniform-cost enumeration over (state, applied-edit-set) nodes.
+    """Uniform-cost enumeration over (state, applied-edit-set, phase) nodes.
 
     A state is an int bitmask over atom indices and an edit set an int
     bitmask over edit indices. Edits are forced into ascending index order
     so each edit set is explored once. Returns (solutions, exhausted,
-    stats): solutions is a list of (edit frozenset, cost) in the order
-    found, decoded from their masks on return.
+    stats): solutions is a list of edit frozensets in the order found,
+    decoded from their masks on return.
 
-    Every edit costs the same positive amount (a ValueError otherwise) and
-    ``_end_editing`` and the original actions cost nothing, so a node's cost
-    is fixed by the size of its edit set. Nodes are therefore queued in one
-    FIFO deque per edit-set size, the current size's and the next (a bucket
-    queue, Dial 1969), and pop in the order a priority queue on (cost,
-    insertion counter) gives them. All executing nodes of one edit set cost
-    the same, so the first path to a key ``state | edset << len(task.atoms)``
-    is a cheapest one: the key is queued once, the first time it is
-    generated, and recorded in `seen`.
+    Every edit counts one and ending the editing phase or firing an action
+    counts nothing, so a node's cost is the size of its edit set. Nodes are
+    therefore queued in one FIFO deque per edit-set size, the current
+    size's and the next (a bucket queue, Dial 1969), and pop in the order a
+    priority queue on (cost, insertion counter) gives them. All executing
+    nodes of one edit set cost the same, so the first path to a key
+    ``state | edset << len(task.atoms)`` is a cheapest one: the key is
+    queued once, the first time it is generated, and recorded in `seen`.
 
-    An editing-phase node has one state per edit set and one path to it, so
-    it is never looked up in `seen`. Its edit children are fanned out
-    lazily: one entry ``(state, edset, i)`` with ``i >= 0`` stands for
-    child i of the node (state, edset), and popping it puts child i + 1 at
-    the front of the current deque before child i is materialised, which is
-    where an eager push of all children would have it. `stats.generated`
-    counts all k children when the parent is expanded. In the executing
-    phase only original actions can fire, and they are looked up by their
-    watched atoms (see `planner._successor_index`); in the editing phase
-    only the edits and ``_end_editing`` can.
+    A queued node is ``(state, edset, i)``. ``i is None`` marks an
+    executing node. Otherwise the node is editing, and an editing node has
+    one path to it, so it is never looked up in `seen`: ``i == -1`` is the
+    root, and ``i >= 0`` stands for edit child i of (state, edset), one
+    entry for its lazily fanned-out siblings. Popping it puts child i + 1
+    at the front of the current deque before child i is materialised,
+    which is where an eager push of all children would have it.
+    `stats.generated` counts all k children when the parent is expanded.
+    An editing node's other child is the executing node of the same state
+    and edit set; an executing node fires the actions whose watched atoms
+    it holds (see `planner._successor_index`).
 
     A node whose edit set contains a solution found earlier is pruned: no
-    new minimal solution lies beyond it. Size-1 solutions are tested as one
-    mask, `singles`; each edit set remembers how many of the larger
-    solutions it has already been tested against and is tested only
-    against those found since.
+    new minimal solution lies beyond it. An edit set's editing node pops
+    before its executing nodes, so it is tested there against every
+    solution found so far: size-1 solutions as one mask, `singles`, the
+    others one by one. Every solution found after it has its size, so it
+    can only hold one of them by being one, and its executing nodes are
+    pruned only when their own edit set has been found.
     """
     task = comp.task
     start = time.monotonic()
     stats = SearchStats()
-    n_edits = len(comp.edit_actions)
-    costs = {a.cost for a in comp.edit_actions}
-    if len(costs) > 1:
-        raise ValueError(
-            "repair enumeration needs one cost for every edit (lazy edit "
-            f"fan-out relies on it), got costs {sorted(costs)}"
-        )
-    edit_cost = costs.pop() if costs else 0.0
-    if n_edits and not edit_cost > 0:
-        raise ValueError(
-            "repair enumeration needs a positive edit cost (its queue orders "
-            f"nodes by edit-set size), got cost {edit_cost}"
-        )
-    edit_adds = [_mask(a.add) for a in comp.edit_actions]
-    editing, executing = 1 << comp.editing, 1 << comp.executing
-    watched, candidates = _successor_index(
-        task.actions[n_edits + 1:], comp.executing
-    )
+    n_edits = len(comp.edits)
+    adds = comp.adds
+    watched, candidates = _successor_index(task.actions)
     shift = len(task.atoms)
     goal = _mask(task.goal)
 
     seen = set()
-    found: list[tuple[int, float]] = []
+    found: list[int] = []  # solved edit sets, in the order found
     singles = 0
-    larger: list[int] = []
-    tested: dict[int, int] = {}  # edit set -> larger solutions tested against
+    larger: set[int] = set()  # solved edit sets not of size 1
 
     def result(exhausted):
         stats.elapsed = time.monotonic() - start
         solutions = [
-            (frozenset(e for i, e in enumerate(comp.edits) if edset >> i & 1), g)
-            for edset, g in found
+            frozenset(e for i, e in enumerate(comp.edits) if edset >> i & 1)
+            for edset in found
         ]
         return solutions, exhausted, stats
 
-    size, g = 0, 0.0
+    size = 0
     now = deque([(_mask(task.init), 0, -1)])
     while now:
         after = deque()  # nodes one edit larger
         while now:
             state, edset, i = now.popleft()
-            if i >= 0:  # edit child i of (state, edset)
-                if i + 1 < n_edits:
-                    now.appendleft((state, edset, i + 1))
-                state |= edit_adds[i]
-                edset |= 1 << i
-            if edset & singles:
-                continue
-            n = tested.get(edset, 0)
-            if n < len(larger):
-                if any(c & edset == c for c in larger[n:]):
+            if i is None:
+                if edset in larger or edset & singles:
                     continue
-                tested[edset] = len(larger)
+            else:
+                if i >= 0:  # edit child i of (state, edset)
+                    if i + 1 < n_edits:
+                        now.appendleft((state, edset, i + 1))
+                    state |= adds[i]
+                    edset |= 1 << i
+                if edset & singles or any(c & edset == c for c in larger):
+                    continue
             if goal & state == goal:
-                found.append((edset, g))
+                found.append(edset)
                 if size == 1:
                     singles |= edset
                 else:
-                    larger.append(edset)
+                    larger.add(edset)
                 continue
             if stats.expansions >= budget.max_expansions or (
                 stats.expansions % 256 == 0
@@ -297,28 +242,27 @@ def _search(comp: _Compiled, budget: Budget):
                 return result(False)
             stats.expansions += 1
 
-            edkey = edset << shift
-            if state & editing:
-                fan_out = n_edits - 1 - i
-                if fan_out:
-                    after.append((state, edset, i + 1))
-                    stats.generated += fan_out
-                successors = ((state & ~editing) | executing,)
-            else:
+            if i is None:
                 successors = [
                     (state & keep) | add
                     for pre, add, keep, _, _ in candidates(state & watched)
                     if pre & state == pre
                 ]
+            else:
+                fan_out = n_edits - 1 - i
+                if fan_out:
+                    after.append((state, edset, i + 1))
+                    stats.generated += fan_out
+                successors = (state,)
             stats.generated += len(successors)
+            edkey = edset << shift
             for succ in successors:
                 key = succ | edkey
                 if key not in seen:
                     seen.add(key)
-                    now.append((succ, edset, -1))
+                    now.append((succ, edset, None))
         now = after
         size += 1
-        g += edit_cost
 
     return result(True)
 
@@ -502,8 +446,7 @@ def enumerate_solutions(
         found = _executability_repair(task, space)
         return found if isinstance(found, NoSolution) else [found.edits]
     budget = budget or ENUM_BUDGET
-    uniform = [(e if not isinstance(e, tuple) else e[0], 1.0) for e in space]
-    comp = _compile_edit_search(task, uniform)
+    comp = _compile_edit_search(task, space)
     solutions, exhausted, stats = _search(comp, budget)
     if not exhausted:
         logger.debug(
@@ -516,8 +459,8 @@ def enumerate_solutions(
         return NoSolution(
             PROVEN_INSUFFICIENT if exhausted else BUDGET_EXHAUSTED, stats
         )
-    # Under unit costs `_search` pops nodes in non-decreasing cardinality and
-    # prunes supersets of found sets on pop, so no solution is a strict
-    # superset of another: every set found is minimal.
-    sets = sorted((s for s, _ in solutions), key=lambda s: (len(s), sorted(s)))
+    # `_search` pops nodes in non-decreasing cardinality and prunes
+    # supersets of found sets on pop, so no solution is a strict superset of
+    # another: every set found is minimal.
+    sets = sorted(solutions, key=lambda s: (len(s), sorted(s)))
     return sets[:MAX_RETAINED_SOLUTIONS]

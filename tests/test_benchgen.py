@@ -2,9 +2,14 @@
 reasonable-edit families, disk format, and corpus determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modelspace
 from modelspace.benchgen import (
     ALL_KINDS,
     BARMAN_SIMPLE,
@@ -246,6 +251,24 @@ class TestCorpus:
         assert [render_model(i.perturbed) for i in a] == [
             render_model(i.perturbed) for i in b
         ]
+
+    def test_roomba_corpus_independent_of_hash_seed(self):
+        """The obstacles that block a roomba instance's cleared paths do not
+        follow the string-hash order of the process that generates it."""
+        script = (
+            "from modelspace.benchgen import generate_corpus\n"
+            "for inst in generate_corpus(['roomba'], 5, seed=0):\n"
+            "    print(sorted(map(str, inst.perturbed.problem.init)))\n"
+        )
+        src = str(Path(modelspace.__file__).resolve().parents[1])
+        inits = {
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, capture_output=True,
+                text=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2", "3", "4")
+        }
+        assert len(inits) == 1
 
     def test_instance_setup_solve_count(self, count_calls):
         """Three solves on this seed's first try: the generator's

@@ -125,10 +125,10 @@ class TestRepair:
             capsys, "repair",
             "--domain", str(t2_files / "domain.pddl"),
             "--problem", str(t2_files / "problem.pddl"),
-            "--predicates", "has_taxi", "--kinds", "remove",
+            "--predicates", "neighboring",
         )
         assert code == 1
-        assert "no solution" in stderr
+        assert "no solution: proven_insufficient" in stderr
 
 
 class TestRunAndReport:

@@ -37,24 +37,9 @@ class TestEditSpace:
         assert GroundAtom("has_taxi", ("b", "c")) in atoms
         assert len(space) == 9 - 1
 
-    def test_remove_space_is_init_subset(self, t2):
-        space = build_edit_space(t2, kinds=(REMOVE_INIT,))
-        assert {e.atom for e in space} == set(t2.problem.init)
-        assert all(e.kind == REMOVE_INIT for e in space)
-
-    def test_combined_space_deterministic_order(self, t2):
-        a = build_edit_space(t2, kinds=(ADD_INIT, REMOVE_INIT))
-        b = build_edit_space(t2, kinds=(ADD_INIT, REMOVE_INIT))
-        assert a == b
-        assert len(a) == len(set(a))
-
-    def test_predicate_filter_applies_to_removes(self, t2):
-        space = build_edit_space(t2, predicates={"at"}, kinds=(REMOVE_INIT,))
-        assert [e.atom for e in space] == [GroundAtom("at", ("a",))]
-
     def test_empty_space_rejected(self, t2):
         with pytest.raises(EmptySpace):
-            build_edit_space(t2, predicates={"at"}, kinds=())
+            build_edit_space(t2, predicates={"no_such_predicate"})
 
 
 class TestApplyEdits:

@@ -112,7 +112,10 @@ class TestPostProcessor:
     def test_insufficient_space_no_solution(self, t2):
         from modelspace.edits import REMOVE_INIT
 
-        space = build_edit_space(t2, predicates={"has_taxi"}, kinds=(REMOVE_INIT,))
+        space = [
+            ModelEdit(REMOVE_INIT, atom)
+            for atom in sorted(t2.problem.init) if atom.predicate == "has_taxi"
+        ]
         out = run_pipeline(
             POST_PROCESSOR, t2_task(t2), scripted("1"), CFG, space=space
         )

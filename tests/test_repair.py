@@ -79,44 +79,43 @@ def brute_force_min_sets(task, space, max_size=3):
 
 
 def eager_search(comp, budget):
-    """Reference for `_search`: the same uniform-cost enumeration without
-    lazy edit fan-out or a successor index. Every node scans every compiled
-    action and pushes each applicable successor that lowers its key's cost."""
+    """Reference for `_search`: the same enumeration as a priority-queue
+    search on (edit-set size, insertion counter), without lazy edit
+    fan-out, a successor index or an incremental prune. A node carries its
+    phase: the index of its last edit while editing (-1 at the root), None
+    once executing. An editing node pushes each later edit and its
+    executing self; an executing node scans every ground action. Each
+    successor that lowers its key's cost is pushed, and a popped node is
+    tested against every solution found."""
     task = comp.task
     start = time.monotonic()
     stats = SearchStats()
-    n_edits = len(comp.edit_actions)
-    shift = len(task.atoms)
-    actions = [
-        (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost) for a in task.actions
-    ]
-    edit_actions, other_actions = actions[:n_edits], actions[n_edits:]
+    adds = [1 << task.atom_index[e.atom] for e in comp.edits]
+    actions = [(_mask(a.pre), _mask(a.add), ~_mask(a.dele)) for a in task.actions]
     goal = _mask(task.goal)
-    init = _mask(task.init)
-    heap = [(0.0, 0, init, 0, -1)]
-    best = {init: 0.0}
+    heap = [(0, 0, _mask(task.init), 0, -1)]
+    best = {}
     closed = set()
     counter = 1
-    cached, cached_costs = [], []
+    found = []
 
     def result(exhausted):
         solutions = [
-            (frozenset(e for i, e in enumerate(comp.edits) if edset >> i & 1), g)
-            for edset, g in zip(cached, cached_costs)
+            frozenset(e for i, e in enumerate(comp.edits) if edset >> i & 1)
+            for edset in found
         ]
         return solutions, exhausted, stats
 
     while heap:
-        g, _, state, edset, max_idx = heappop(heap)
-        key = state | (edset << shift)
+        g, _, state, edset, last = heappop(heap)
+        key = (state, edset, last is None)
         if key in closed:
             continue
         closed.add(key)
-        if any(c & edset == c for c in cached):
+        if any(c & edset == c for c in found):
             continue
         if goal & state == goal:
-            cached.append(edset)
-            cached_costs.append(g)
+            found.append(edset)
             continue
         if stats.expansions >= budget.max_expansions or (
             stats.expansions % 256 == 0
@@ -124,31 +123,25 @@ def eager_search(comp, budget):
         ):
             return result(False)
         stats.expansions += 1
-        for i in range(max_idx + 1, n_edits):
-            pre, add, keep, cost = edit_actions[i]
-            if pre & state == pre:
-                succ = (state & keep) | add
-                nedset = edset | (1 << i)
-                ng = g + cost
-                nkey = succ | (nedset << shift)
-                old = best.get(nkey)
-                if old is None or ng < old:
-                    best[nkey] = ng
-                    heappush(heap, (ng, counter, succ, nedset, i))
-                counter += 1
-                stats.generated += 1
-        edkey = edset << shift
-        for pre, add, keep, cost in other_actions:
-            if pre & state == pre:
-                succ = (state & keep) | add
-                ng = g + cost
-                nkey = succ | edkey
-                old = best.get(nkey)
-                if old is None or ng < old:
-                    best[nkey] = ng
-                    heappush(heap, (ng, counter, succ, edset, n_edits))
-                counter += 1
-                stats.generated += 1
+        if last is None:
+            children = [
+                (g, (state & keep) | add, edset, None)
+                for pre, add, keep in actions
+                if pre & state == pre
+            ]
+        else:
+            children = [
+                (g + 1, state | adds[i], edset | 1 << i, i)
+                for i in range(last + 1, len(adds))
+            ] + [(g, state, edset, None)]
+        for ng, succ, nedset, nlast in children:
+            nkey = (succ, nedset, nlast is None)
+            old = best.get(nkey)
+            if old is None or ng < old:
+                best[nkey] = ng
+                heappush(heap, (ng, counter, succ, nedset, nlast))
+            counter += 1
+            stats.generated += 1
     return result(True)
 
 
@@ -164,8 +157,12 @@ def corpus_task(kind, seed, **size):
     )
 
 
-def unit(space):
-    return [(e, 1.0) for e in space]
+def removals(model, predicates):
+    """A removal of each initial-state atom of `predicates`, sorted."""
+    return [
+        ModelEdit(REMOVE_INIT, atom)
+        for atom in sorted(model.problem.init) if atom.predicate in predicates
+    ]
 
 
 class TestVerifyRepair:
@@ -235,9 +232,8 @@ class TestMinCost:
         """Growing the initial state is monotone, so the minimum over a space
         mixing additions and removals is the brute-force one and adds only."""
         task = RepairTask(t2, UNSOLVABILITY)
-        space = build_edit_space(
-            t2, predicates={"has_taxi", "has_bus", "at"}, kinds=(ADD_INIT, REMOVE_INIT)
-        )
+        space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
+        space += removals(t2, {"has_taxi", "has_bus", "at"})
         assert any(e.kind == REMOVE_INIT for e in space)
         sol = repair_min_cost(task, [(e, 1.0) for e in space])
         oracle = brute_force_min_sets(task, space, max_size=2)
@@ -248,7 +244,7 @@ class TestMinCost:
     def test_insufficient_space_proven(self, t2):
         # only removals available: deleting facts cannot make t2 solvable
         task = RepairTask(t2, UNSOLVABILITY)
-        space = build_edit_space(t2, predicates={"has_taxi"}, kinds=(REMOVE_INIT,))
+        space = removals(t2, {"has_taxi"})
         out = repair_min_cost(task, [(e, 1.0) for e in space])
         assert isinstance(out, NoSolution)
         assert out.reason == PROVEN_INSUFFICIENT
@@ -262,7 +258,7 @@ class TestMinCost:
 
     def test_truncated_search_is_logged(self, t2, caplog):
         task = RepairTask(t2, UNSOLVABILITY)
-        space = unit(build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"}))
+        space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
         with caplog.at_level(logging.DEBUG, logger="modelspace.repair"):
             assert not isinstance(repair_min_cost(task, space), NoSolution)
             assert not caplog.records
@@ -274,7 +270,7 @@ class TestMinCost:
         message = record.getMessage()
         assert message.startswith("min-cost search stopped at budget: 1 expansions")
         assert "expansion limit 1 reached" in message
-        kept = len(_compile_edit_search(task, space).edits)
+        kept = len(_kept_edits(ground_task(t2), space))
         assert message.endswith(f"{kept} edits kept")
 
     def test_ranked_costs_respect_prefix_dominance(self, t2):
@@ -335,7 +331,7 @@ class TestEnumeration:
 
     def test_enumeration_no_solution(self, t2):
         task = RepairTask(t2, UNSOLVABILITY)
-        space = build_edit_space(t2, predicates={"has_taxi"}, kinds=(REMOVE_INIT,))
+        space = removals(t2, {"has_taxi"})
         out = enumerate_solutions(task, space)
         assert isinstance(out, NoSolution)
         assert out.reason == PROVEN_INSUFFICIENT
@@ -347,26 +343,26 @@ class TestWideSpaces:
 
     @pytest.mark.parametrize("kind, size, kept, generated, found", [
         ("roomba", {"rows": 3, "cols": 3}, 69, 54598, [
-            (["(+ (is_clean cell_0_2))"], 1.0),
-            (["(+ (path_is_clear cell_1_2 cell_0_2))"], 1.0),
+            ["(+ (is_clean cell_0_2))"],
+            ["(+ (path_is_clear cell_1_2 cell_0_2))"],
         ]),
         ("travel", {"n_cities": 6}, 73, 62985, [
-            (["(+ (at city_b))"], 1.0),
-            (["(+ (has_bus city_e city_b))"], 1.0),
-            (["(+ (has_taxi city_e city_b))"], 1.0),
-            (["(+ (at city_a))", "(+ (has_bus city_a city_b))"], 2.0),
+            ["(+ (at city_b))"],
+            ["(+ (has_bus city_e city_b))"],
+            ["(+ (has_taxi city_e city_b))"],
+            ["(+ (at city_a))", "(+ (has_bus city_a city_b))"],
         ]),
     ])
     def test_search_work_is_pinned(self, kind, size, kept, generated, found):
         """Expansions, generated nodes, the exhausted flag and the solutions
         in the order found, at the paper's unsolvability budget."""
         task, space = corpus_task(kind, 2, **size)
-        comp = _compile_edit_search(task, unit(space))
+        comp = _compile_edit_search(task, space)
         assert len(comp.edits) == kept
         solutions, exhausted, stats = _search(comp, Budget(5000, 7200.0))
         assert (stats.expansions, stats.generated, exhausted) == (5000, generated, False)
-        assert all(isinstance(s, frozenset) for s, _ in solutions)
-        assert [(sorted(map(str, s)), c) for s, c in solutions] == found
+        assert all(isinstance(s, frozenset) for s in solutions)
+        assert [sorted(map(str, s)) for s in solutions] == found
 
     def test_enumerated_options_are_minimal_sound_ordered_and_capped(self):
         task, space = corpus_task("travel", 1, n_cities=7)
@@ -383,9 +379,9 @@ class TestWideSpaces:
     def test_truncated_enumeration_is_logged(self, t2, caplog):
         task = RepairTask(t2, UNSOLVABILITY)
         space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
-        removals = build_edit_space(t2, predicates={"has_taxi"}, kinds=(REMOVE_INIT,))
         with caplog.at_level(logging.DEBUG, logger="modelspace.repair"):
-            enumerate_solutions(task, removals)  # complete: proven insufficient
+            # complete: proven insufficient
+            enumerate_solutions(task, removals(t2, {"has_taxi"}))
             assert not caplog.records
             out = enumerate_solutions(task, space, Budget(max_expansions=100))
         assert isinstance(out, list)
@@ -427,7 +423,7 @@ class TestLazySearchIsExact:
         """Budgets that stop the search in the first fan-out, a few nodes
         into it, and after many fan-outs; more than 64 edits."""
         task, space = corpus_task(kind, 2, **size)
-        comp = _compile_edit_search(task, unit(space))
+        comp = _compile_edit_search(task, space)
         assert len(comp.edits) > 64
         b = Budget(budget, 7200.0)
         assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
@@ -442,16 +438,16 @@ class TestLazySearchIsExact:
         """The other corpus kinds, at the sizes the benchmark generates: a
         handful of kept edits, searches that finish and one that does not."""
         task, space = corpus_task(kind, 2, **size)
-        comp = _compile_edit_search(task, unit(space))
+        comp = _compile_edit_search(task, space)
         b = Budget(budget, 7200.0)
         assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
 
     def test_no_edit_kept(self, t2):
         """Removals never pass the relevance filter, so the search runs with
-        no edit and no edit cost and proves the space insufficient."""
+        no edit and proves the space insufficient."""
         task = RepairTask(t2, UNSOLVABILITY)
-        space = build_edit_space(t2, predicates={"has_taxi"}, kinds=(REMOVE_INIT,))
-        comp = _compile_edit_search(task, unit(space))
+        space = removals(t2, {"has_taxi"})
+        comp = _compile_edit_search(task, space)
         assert space and comp.edits == []
         outcome = search_outcome(_search(comp, Budget()))
         assert outcome == search_outcome(eager_search(comp, Budget()))
@@ -459,12 +455,11 @@ class TestLazySearchIsExact:
 
     def test_incremental_superset_prune(self):
         """{s} solves alone and prunes every edit set holding s through the
-        size-1 mask. {p, q}'s executing node expands into its `fin1` and
-        `fin2` goal nodes, queued behind {a, b}'s. When the `fin1` node pops,
-        {p, q} is tested against {a, b}, remembered as tested against one
-        larger solution, and found. The `fin2` node must then be tested
-        against the solution found since, itself, and pruned, not found
-        again."""
+        size-1 mask. {p, q}'s editing node is tested before {a, b} is found;
+        its executing node expands into its `fin1` and `fin2` goal nodes,
+        queued behind {a, b}'s. When the `fin1` node pops, {p, q} is found.
+        The `fin2` node must then be pruned as a node of a found edit set,
+        not found again."""
         domain = parse_domain("""(define (domain prune) (:requirements :strips)
           (:predicates (a) (b) (p) (q) (s) (done) (x1) (x2))
           (:action win :parameters () :precondition (s) :effect (done))
@@ -478,21 +473,17 @@ class TestLazySearchIsExact:
         )
         task = RepairTask(Model(domain, problem), UNSOLVABILITY)
         a, b, p, q, s = (ModelEdit(ADD_INIT, GroundAtom(n, ())) for n in "abpqs")
-        comp = _compile_edit_search(task, unit([a, b, p, q, s]))
+        comp = _compile_edit_search(task, [a, b, p, q, s])
         assert comp.edits == [a, b, p, q, s]
         outcome = search_outcome(_search(comp, Budget()))
         assert outcome == search_outcome(eager_search(comp, Budget()))
-        assert outcome[:2] == ([
-            (frozenset({s}), 1.0),
-            (frozenset({a, b}), 2.0),
-            (frozenset({p, q}), 2.0),
-        ], True)
+        assert outcome[:2] == ([frozenset({s}), frozenset({a, b}), frozenset({p, q})], True)
 
     @pytest.mark.parametrize("budget", [3, 100, 5000])
     def test_t2(self, t2, budget):
         task = RepairTask(t2, UNSOLVABILITY)
         space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
-        comp = _compile_edit_search(task, unit(space))
+        comp = _compile_edit_search(task, space)
         b = Budget(budget, 7200.0)
         assert search_outcome(_search(comp, b)) == search_outcome(eager_search(comp, b))
 
@@ -501,42 +492,22 @@ class TestLazySearchIsExact:
         plan = load_plan("d5_plan.txt")
         task = RepairTask(compile_executability(travel_exec_model, plan), UNSOLVABILITY)
         space = build_edit_space(travel_exec_model, predicates={"has_bus", "has_taxi"})
-        comp = _compile_edit_search(task, unit(space))
+        comp = _compile_edit_search(task, space)
         b = Budget(10_000, 7200.0)
         outcome = search_outcome(_search(comp, b))
         assert outcome == search_outcome(eager_search(comp, b))
         assert outcome[0]  # it finds repairs
 
-    def test_refuses_unequal_edit_costs(self, t2):
-        task = RepairTask(t2, UNSOLVABILITY)
-        space = build_edit_space(t2, predicates={"has_taxi", "has_bus"})
-        comp = _compile_edit_search(task, [(e, 1.0 + i % 2) for i, e in enumerate(space)])
-        with pytest.raises(ValueError, match="one cost for every edit"):
-            _search(comp, Budget())
-
-    @pytest.mark.parametrize("cost", [0.0, -1.0])
-    def test_refuses_non_positive_edit_cost(self, t2, cost):
-        task = RepairTask(t2, UNSOLVABILITY)
-        space = build_edit_space(t2, predicates={"has_taxi", "has_bus"})
-        comp = _compile_edit_search(task, [(e, cost) for e in space])
-        assert comp.edits
-        with pytest.raises(ValueError, match="positive edit cost"):
-            _search(comp, Budget())
-
 
 class TestSuccessorIndex:
-    @staticmethod
-    def originals(comp):
-        return comp.task.actions[len(comp.edits) + 1:]
-
     def test_two_watched_atoms_true_at_once(self, t2):
         """An `at` edit makes two `at` atoms true, so the candidates of both
         watched atoms are merged, in action order."""
         task = RepairTask(t2, UNSOLVABILITY)
         space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
-        comp = _compile_edit_search(task, unit(space))
+        comp = _compile_edit_search(task, space)
         assert ModelEdit(ADD_INIT, GroundAtom("at", ("b",))) in comp.edits
-        watched, candidates = _successor_index(self.originals(comp), comp.executing)
+        watched, candidates = _successor_index(comp.task.actions)
         at_a, at_b = (
             1 << comp.task.atom_index[GroundAtom("at", (c,))] for c in "ab"
         )
@@ -562,17 +533,17 @@ class TestSuccessorIndex:
         model = Model(domain, problem)
         task = RepairTask(model, UNSOLVABILITY)
         space = build_edit_space(model, predicates={"key", "lit"})
-        comp = _compile_edit_search(task, unit(space))
-        [switch, unlock] = self.originals(comp)
-        assert switch.pre == {comp.executing}
-        _, candidates = _successor_index(self.originals(comp), comp.executing)
+        comp = _compile_edit_search(task, space)
+        [switch, unlock] = comp.task.actions
+        assert switch.pre == frozenset()
+        _, candidates = _successor_index(comp.task.actions)
         assert candidates(0) == [
-            (_mask(switch.pre), _mask(switch.add), ~_mask(switch.dele), 0.0, switch)
+            (0, _mask(switch.add), ~_mask(switch.dele), switch.cost, switch)
         ]
         outcome = search_outcome(_search(comp, Budget()))
         assert outcome == search_outcome(eager_search(comp, Budget()))
         key = ModelEdit(ADD_INIT, GroundAtom("key", ()))
-        assert outcome[:2] == ([(frozenset({key}), 1.0)], True)
+        assert outcome[:2] == ([frozenset({key})], True)
 
     def test_add_edit_already_in_init(self, t2):
         """An addition of a true atom changes the edit set, not the state;
@@ -581,11 +552,11 @@ class TestSuccessorIndex:
         present = ModelEdit(ADD_INIT, GroundAtom("has_taxi", ("a", "b")))
         fix = ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))
         assert present.atom in t2.problem.init
-        comp = _compile_edit_search(task, unit([present, fix]))
+        comp = _compile_edit_search(task, [present, fix])
         assert comp.edits == [present, fix]
         outcome = search_outcome(_search(comp, Budget()))
         assert outcome == search_outcome(eager_search(comp, Budget()))
-        assert outcome[:2] == ([(frozenset({fix}), 1.0)], True)
+        assert outcome[:2] == ([frozenset({fix})], True)
 
 
 class TestSearchIsExact:
@@ -869,9 +840,10 @@ class TestMinCostWork:
         assert (out.stats.expansions, len(solved)) == (0, 0)
 
     def test_rank_cost_barman_work_is_pinned(self):
-        """The barman_simple seed 2 task that `TestSolveWork` pins at 3530
-        expansions of the compiled search: five relevant decoys, then the
-        deleted fact, which alone repairs it at cost 32."""
+        """The barman_simple seed 2 task whose last `solve`, 193 expansions,
+        `TestSolveWork` pins: five relevant decoys, then the deleted fact,
+        which alone repairs it at cost 32. The 33 other expansions pop the
+        32 cheaper sets and this one."""
         inst = generate_corpus(["barman_simple"], 1, seed=2, **SIZES["barman_simple"])[0]
         task = RepairTask(inst.perturbed, UNSOLVABILITY)
         kept = _kept_edits(ground_task(task.base), build_edit_space(task.base))
