@@ -1,17 +1,15 @@
 """Seeded generators for the five benchmark domains.
 
-Each generate_* function returns a solvable (planner-verified) Model plus its
-reasonable-change family. Generation is deterministic in (kind, size params,
-seed). Sizes default to small values so a full corpus can be planner-verified
-in seconds.
+Each generate_* function returns a Model, solvable by construction (which
+`perturb_unsolvable` verifies), plus its reasonable-change family, and is
+deterministic in (kind, size params, seed). Sizes default to small values.
 """
 from __future__ import annotations
 
 import random
 
-from ..pddl import ActionSchema, Atom, DomainModel, GroundAtom, Model, ProblemModel, ground_task
+from ..pddl import ActionSchema, Atom, DomainModel, GroundAtom, Model, ProblemModel
 from ..pddl.errors import PddlError
-from ..planner import solve
 from .families import (
     BARMAN_FAMILY,
     LOGISTICS_FAMILY,
@@ -39,12 +37,6 @@ def _name(prefix: str, i: int) -> str:
     if i < 26:
         return f"{prefix}_{chr(ord('a') + i)}"
     return f"{prefix}_{i}"
-
-
-def _verify_solvable(model: Model) -> None:
-    model.validate()
-    if not solve(ground_task(model)).solved:
-        raise GenerationFailed("generated model is not solvable")
 
 
 # --- Travel ---------------------------------------------------------------
@@ -117,7 +109,6 @@ def generate_travel(n_cities: int | None = None, seed: int = 0):
             goal=frozenset({GroundAtom("at", (route[-1],))}),
         ),
     )
-    _verify_solvable(model)
     return model, ReasonableFamily(TRAVEL_FAMILY, tuple(services))
 
 
@@ -237,7 +228,6 @@ def generate_roomba(rows: int | None = None, cols: int | None = None, seed: int 
             goal=frozenset({GroundAtom("is_clean", (_cell(*target),))}),
         ),
     )
-    _verify_solvable(model)
     return model, ReasonableFamily(ROOMBA_FAMILY, removable)
 
 
@@ -345,7 +335,6 @@ def generate_barman(n_cocktails: int | None = None, seed: int = 0):
             goal=frozenset(goal),
         ),
     )
-    _verify_solvable(model)
     return model, ReasonableFamily(BARMAN_FAMILY, tuple(removable))
 
 
@@ -445,7 +434,6 @@ def generate_logistics_simple(n_islands: int | None = None, island_len: int | No
             goal=frozenset(goal),
         ),
     )
-    _verify_solvable(model)
     return model, ReasonableFamily(LOGISTICS_SIMPLE_FAMILY, tuple(removable))
 
 
@@ -583,7 +571,6 @@ def generate_logistics(n_cities: int | None = None, n_locations: int | None = No
             goal=frozenset(goal),
         ),
     )
-    _verify_solvable(model)
     return model, ReasonableFamily(LOGISTICS_FAMILY, tuple(removable))
 
 

@@ -2,10 +2,10 @@
 minimal repair, by deleting 1-4 reasonable initial-state facts from a
 solvable model.
 
-The solvable model is solved once per instance. Preconditions and goals are
-positive and restoring the deleted facts gives back a superset of the
-model's init, so the model's plan is the witness that the restored model
-solves; the same plan becomes the instance's target plan."""
+The model is validated and solved once per instance; `SolvabilityCheck`
+proves each perturbation unsolvable. Restoring the deleted facts gives back
+a superset of the model's init, so under positive preconditions and goals
+the model's plan, the instance's target plan, solves the restored model."""
 from __future__ import annotations
 
 import random
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..pddl import GroundAtom, Model, ground_task
 from ..pddl.errors import PddlError
-from ..planner import Plan, solve, validate_plan
+from ..planner import Plan, SolvabilityCheck, solve, validate_plan
 from .families import ROOMBA_FAMILY, ReasonableFamily
 
 _OBSTACLES = ("chair_blocking_path_between", "table_blocking_path_between")
@@ -61,9 +61,8 @@ def perturb_unsolvable(
     max_tries: int = 30,
 ) -> BenchInstance:
     """Delete k family facts so the model becomes provably unsolvable;
-    resamples the choice of facts up to max_tries times. The model is
-    solved once; its plan is checked with `validate_plan` on each restored
-    model and becomes the instance's target plan."""
+    resamples the choice of facts up to max_tries times. The model's plan
+    is checked with `validate_plan` on each restored model."""
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
     candidates = sorted(family.removable)
@@ -72,13 +71,14 @@ def perturb_unsolvable(
             f"only {len(candidates)} removable facts available, need {k}"
         )
     rng = random.Random(f"perturb:{domain_kind}:{seed}:{k}")
+    model.validate()
     plan = solve(ground_task(model)).plan
     if plan is None:
         raise InvariantViolation("solvable original did not solve")
     for _ in range(max_tries):
         chosen = frozenset(rng.sample(candidates, k))
         perturbed = model.with_init(_perturb_init(model, chosen, family.family_id, rng))
-        if not solve(ground_task(perturbed)).proven_unsolvable:
+        if not SolvabilityCheck(ground_task(perturbed))().proven_unsolvable:
             continue
         restored = perturbed.with_init(perturbed.problem.init | chosen)
         if not validate_plan(restored, plan).valid:

@@ -10,9 +10,9 @@ call and there is no module-level state, so both entry points are pure
 functions over immutable inputs, and running many instances in parallel
 worker threads is safe.
 
-`relevant_actions` and `relaxed_reach` are the cheap tests min-cost repair
-puts before each `solve`: backward relevance to the goal, and the goal's
-delete-relaxed reachability, both over int bitmasks.
+`SolvabilityCheck`, the one solvability check of min-cost repair, `judge`
+and set-up, puts two cheap tests before `solve`: backward relevance to the
+goal and the goal's delete-relaxed reachability, both over int bitmasks.
 """
 from __future__ import annotations
 
@@ -220,6 +220,36 @@ def relaxed_reach(actions, state: int) -> tuple[int, list[int]]:
         if state == before:
             return state, sorted(fired)
         pending = rest
+
+
+class SolvabilityCheck:
+    """Is `task` solvable from a state, an int bitmask over atom indices?
+    UNSOLVABLE with no search when `relaxed_reach` over the
+    `relevant_actions` (found once per check) misses a goal atom, else the
+    verdict of `solve` over the relevant actions that pass reached."""
+
+    def __init__(self, task: GroundTask):
+        self.task = task
+        self.goal = _mask(task.goal)
+        masks = [(_mask(a.pre), _mask(a.add)) for a in task.actions]
+        self.relevant = relevant_actions(masks, self.goal)
+        self.masks = [masks[i] for i in self.relevant]
+
+    def relaxed_dead(self, state: int) -> bool:
+        """The relaxed test alone: True proves `state` unsolvable."""
+        return self.goal & relaxed_reach(self.masks, state)[0] != self.goal
+
+    def __call__(self, state: int | None = None, budget: Budget | None = None) -> SolveVerdict:
+        """The verdict from `state`, or from the task's init when None."""
+        task = self.task
+        if state is None:
+            state = _mask(task.init)
+        reached, fired = relaxed_reach(self.masks, state)
+        if self.goal & reached != self.goal:
+            return SolveVerdict(UNSOLVABLE)
+        init = frozenset(i for i in range(state.bit_length()) if state >> i & 1)
+        actions = tuple(task.actions[self.relevant[j]] for j in fired)
+        return solve(GroundTask(task.atoms, task.atom_index, actions, init, task.goal), budget)
 
 
 def _mask(indices) -> int:

@@ -5,12 +5,11 @@ the target plan needs and lacks (`planner.missing_init_atoms`), returned
 when the space holds it and PROVEN_INSUFFICIENT otherwise.
 
 For unsolvability, min-cost repair walks edit sets in nondecreasing total
-cost over one grounding of the task. Each set is first put to a cheap
-necessary test, delete-relaxed reachability of the goal over the
-backward-relevant actions (`planner.relaxed_reach`,
-`planner.relevant_actions`), and only a set that passes is checked
-exactly, by `planner.solve` over the relevant actions the relaxed pass
-reached. The first set solved is the cheapest sound one.
+cost over one grounding of the task, and decides each with one
+`planner.SolvabilityCheck` of it: delete-relaxed reachability of the goal
+over the backward-relevant actions, then `planner.solve` over the relevant
+actions the relaxed pass reached. The first set solved is the cheapest
+sound one.
 
 Enumeration runs `_search` on the same grounding: a node is a state, the
 set of edits applied to the initial state so far, and its phase. While
@@ -35,13 +34,10 @@ so growing the initial state is monotone and no minimal repair removes a
 fact.
 
 `judge` decides soundness (SOUND, UNSOUND or INDETERMINATE) by recomputing
-the objective metric on the repaired model; a min-cost repair is judged
-before it is handed back. For unsolvability, a witness plan is checked
-first with `validate_plan` (VAL-style simulation, independent of the
-search): a valid witness proves the repair sound with no grounding and no
-`solve`, and a failed one is logged and the repaired model is solved
-afresh. `repair_min_cost` hands on the plan `solve` found for the chosen
-set as the witness.
+the objective metric on the repaired model, and for unsolvability proves
+SOUND only by a plan `validate_plan` (VAL-style simulation, independent of
+the search) accepts: the witness `repair_min_cost` hands on with its
+answer, or else the plan of a fresh `SolvabilityCheck`.
 """
 from __future__ import annotations
 
@@ -65,13 +61,11 @@ from .planner import (
     SOLVED,
     Budget,
     SearchStats,
+    SolvabilityCheck,
     UnknownAction,
     _mask,
     _successor_index,
     missing_init_atoms,
-    relaxed_reach,
-    relevant_actions,
-    solve,
     validate_plan,
 )
 
@@ -277,15 +271,18 @@ def judge(
     For unsolvability, `witness` may give the steps ``(name, args)`` of a
     plan believed to solve the repaired model. When `validate_plan` accepts
     it the repair is SOUND without grounding or search; when it does not,
-    a warning is logged and the model is grounded and solved as without a
-    witness, so a witness never changes a verdict it could not prove.
+    a warning is logged and the model is checked afresh as without a
+    witness, so a witness never changes a verdict it could not prove. Every
+    SOUND verdict rests on a validated plan, the check's if not a witness.
     """
     repaired = apply_edits(task.base, edits)
     if task.use_case == UNSOLVABILITY:
         if witness is not None and _witness_solves(repaired, witness):
             return SOUND
-        status = solve(ground_task(repaired), budget).status
-        return {SOLVED: SOUND, BUDGET_EXHAUSTED: INDETERMINATE}.get(status, UNSOUND)
+        verdict = SolvabilityCheck(ground_task(repaired))(budget=budget)
+        if verdict.solved and not _witness_solves(repaired, verdict.plan.steps):
+            raise AssertionError("internal invariant violation: the check's plan is invalid")
+        return {SOLVED: SOUND, BUDGET_EXHAUSTED: INDETERMINATE}.get(verdict.status, UNSOUND)
     return SOUND if validate_plan(repaired, task.target_plan).valid else UNSOUND
 
 
@@ -296,12 +293,12 @@ def _witness_solves(model, witness) -> bool:
     try:
         report = validate_plan(model, steps)
     except UnknownAction as err:
-        logger.warning("witness plan rejected, re-solving: %s", err)
+        logger.warning("witness plan rejected, checking afresh: %s", err)
         return False
     if not report.valid:
         at = report.failing_step
         logger.warning(
-            "witness plan rejected at %r, re-solving: %s",
+            "witness plan rejected at %r, checking afresh: %s",
             steps[at] if at is not None else None, report,
         )
     return report.valid
@@ -325,15 +322,14 @@ def repair_min_cost(
     the kept edits, less those whose atom already holds (they change no
     state), are sorted by (cost, space order), and a popped set whose
     largest member is i has two children, add i + 1 and swap i for i + 1,
-    which reaches every subset once and never a cheaper one. A popped set
-    whose goal is delete-relaxed unreachable over the backward-relevant
-    actions is refuted without search; any other is checked by `solve`
-    over the relevant actions the relaxed pass reached, and the first one
-    solved is the answer, its plan the witness for `judge`. When the goal
-    is relaxed unreachable even with every kept edit, the answer is
-    PROVEN_INSUFFICIENT with no set popped. The budget's expansions count
-    popped sets plus `solve` expansions; `stats.generated` counts pushed
-    sets plus `solve`'s generated nodes.
+    which reaches every subset once and never a cheaper one. Each popped
+    set is decided by one `SolvabilityCheck` of the task's grounding (no
+    search for a relaxed-dead set), and the first one solved is the
+    answer, its plan the witness for `judge`. When the goal is relaxed
+    unreachable even with every kept edit, the answer is PROVEN_INSUFFICIENT
+    with no set popped. The budget's expansions count popped sets plus
+    `solve` expansions; `stats.generated` counts pushed sets plus `solve`'s
+    generated nodes.
     """
     for edit, cost in zip(*_normalize_space(space)):
         if not cost >= 0:
@@ -351,12 +347,10 @@ def repair_min_cost(
     stats = SearchStats()
     gt = ground_task(task.base)
     kept = _kept_edits(gt, space)
-    init, goal = _mask(gt.init), _mask(gt.goal)
+    init = _mask(gt.init)
     walk = sorted((k for k in kept if not init >> k[1] & 1), key=lambda k: k[2])
     adds = [1 << idx for _, idx, _ in walk]
-    masks = [(_mask(a.pre), _mask(a.add)) for a in gt.actions]
-    relevant = relevant_actions(masks, goal)
-    relevant_masks = [masks[i] for i in relevant]
+    check = SolvabilityCheck(gt)
 
     def finish(reason):
         stats.elapsed = time.monotonic() - start
@@ -369,8 +363,7 @@ def repair_min_cost(
             )
         return NoSolution(reason, stats)
 
-    everything = relaxed_reach(relevant_masks, init | _mask(k[1] for k in walk))[0]
-    if goal & everything != goal:
+    if check.relaxed_dead(init | _mask(k[1] for k in walk)):
         return finish(PROVEN_INSUFFICIENT)
     heap = [(0.0, ())]  # sets of equal cost pop in order of their members
     while heap:
@@ -383,31 +376,20 @@ def repair_min_cost(
         state = init
         for j in members:
             state |= adds[j]
-        state, reached = relaxed_reach(relevant_masks, state)
-        if goal & state == goal:
-            verdict = solve(
-                GroundTask(
-                    gt.atoms, gt.atom_index,
-                    tuple(gt.actions[relevant[j]] for j in reached),
-                    gt.init | {walk[j][1] for j in members}, gt.goal,
-                ),
-                Budget(
-                    budget.max_expansions - stats.expansions,
-                    budget.max_seconds - (time.monotonic() - start),
-                ),
-            )
-            stats.expansions += verdict.stats.expansions
-            stats.generated += verdict.stats.generated
-            if verdict.status == BUDGET_EXHAUSTED:
-                return finish(BUDGET_EXHAUSTED)
-            if verdict.solved:
-                edits = frozenset(walk[j][0] for j in members)
-                if judge(task, edits, witness=verdict.plan.steps) != SOUND:
-                    raise AssertionError(
-                        "internal invariant violation: search returned an unsound repair"
-                    )
-                stats.elapsed = time.monotonic() - start
-                return RepairSolution(edits, cost, stats)
+        verdict = check(state, Budget(budget.max_expansions - stats.expansions,
+                                      budget.max_seconds - (time.monotonic() - start)))
+        stats.expansions += verdict.stats.expansions
+        stats.generated += verdict.stats.generated
+        if verdict.status == BUDGET_EXHAUSTED:
+            return finish(BUDGET_EXHAUSTED)
+        if verdict.solved:
+            edits = frozenset(walk[j][0] for j in members)
+            if judge(task, edits, witness=verdict.plan.steps) != SOUND:
+                raise AssertionError(
+                    "internal invariant violation: search returned an unsound repair"
+                )
+            stats.elapsed = time.monotonic() - start
+            return RepairSolution(edits, cost, stats)
         nxt = members[-1] + 1 if members else 0
         if nxt < len(walk):
             children = [members + (nxt,)] + ([members[:-1] + (nxt,)] if members else [])

@@ -38,7 +38,7 @@ from modelspace.benchgen.domains import (
 )
 from modelspace.edits import ADD_INIT, REMOVE_INIT, ModelEdit
 from modelspace.pddl import GroundAtom, ground_task, render_model
-from modelspace.planner import solve, validate_plan
+from modelspace.planner import SolvabilityCheck, solve, validate_plan
 
 
 class TestDomainGenerators:
@@ -271,13 +271,13 @@ class TestCorpus:
         assert len(inits) == 1
 
     def test_instance_setup_solve_count(self, count_calls):
-        """Three solves on this seed's first try: the generator's
-        solvability check and `perturb_unsolvable`'s plan (the restore
-        witness and the target plan), both of the same model, and the
-        perturbed model's unsolvability proof."""
-        solved = count_calls(solve)
+        """One solve on this seed's first try, `perturb_unsolvable`'s plan
+        of the model (the restore witness and the target plan), and one
+        solvability check of the perturbed model, which needs no solve: its
+        goal is delete-relaxed unreachable."""
+        solved, checked = count_calls(solve), count_calls(SolvabilityCheck)
         inst = make_instance(TRAVEL, seed=8)
-        assert len(solved) == 3
+        assert (len(solved), len(checked)) == (1, 1)
         assert verify_instance(inst)
 
     def test_fixed_k_respected(self):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from modelspace import repair
+from modelspace import planner, repair
 from modelspace.edits import ADD_INIT, UNSOLVABILITY, ModelEdit, RepairTask
 from modelspace.evalharness import (
     SchemaError,
@@ -64,7 +64,7 @@ class TestJudging:
     def test_valid_witness_needs_no_grounding_or_search(self, t2, count_calls):
         task = RepairTask(t2, UNSOLVABILITY)
         good = {ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))}
-        grounded, solved = count_calls(repair.ground_task), count_calls(repair.solve)
+        grounded, solved = count_calls(repair.ground_task), count_calls(planner.solve)
         assert judge(task, good, witness=self.WITNESS) == SOUND
         assert (len(grounded), len(solved)) == (0, 0)
 
@@ -77,12 +77,15 @@ class TestJudging:
     def test_corrupted_witness_falls_back_to_solve(
         self, t2, count_calls, corruption, atom, budget, verdict
     ):
+        """A rejected witness leaves the verdict to one solvability check,
+        the one `judge` makes without a witness."""
         task = RepairTask(t2, UNSOLVABILITY)
         edits = {ModelEdit(ADD_INIT, GroundAtom(*atom))}
-        solved = count_calls(repair.solve)
+        checked = count_calls(repair.SolvabilityCheck)
         assert judge(task, edits, budget, witness=self.CORRUPTED[corruption]) == verdict
-        assert len(solved) == 1
+        assert len(checked) == 1
         assert judge(task, edits, budget) == verdict
+        assert len(checked) == 2
 
     @pytest.mark.parametrize("witness", [None, (), WITNESS])
     def test_stale_edit_raises_with_any_witness(self, t2, witness):

@@ -15,6 +15,7 @@ from heapq import heappop, heappush
 import pytest
 
 from conftest import SIZES, load_plan
+from modelspace import planner
 from modelspace.benchgen import ALL_KINDS
 from modelspace.benchgen.corpus import generate_corpus
 from modelspace.compilation import compile_executability
@@ -29,7 +30,6 @@ from modelspace.edits import (
 )
 from modelspace.pddl import (
     GroundAtom,
-    GroundTask,
     Model,
     ground_task,
     parse_domain,
@@ -42,10 +42,9 @@ from modelspace.planner import (
     SOLVED,
     UNSOLVABLE,
     SearchStats,
+    SolvabilityCheck,
     UnknownAction,
     _mask,
-    relaxed_reach,
-    relevant_actions,
     solve,
     validate_plan,
 )
@@ -160,16 +159,16 @@ def restored(inst):
 
 def min_cost_task(task, space):
     """The task `repair_min_cost` solves for the edit set it chooses from
-    `space`: the base grounding restricted to the backward-relevant actions
-    that the delete-relaxed pass reaches once that set is added to init."""
+    `space`: the one `SolvabilityCheck` of the base grounding hands `solve`
+    once that set is added to init."""
     gt = ground_task(task.base)
     chosen = repair_min_cost(task, space).edits
-    init = gt.init | {gt.atom_index[e.atom] for e in chosen}
-    masks = [(_mask(a.pre), _mask(a.add)) for a in gt.actions]
-    relevant = relevant_actions(masks, _mask(gt.goal))
-    _, reached = relaxed_reach([masks[i] for i in relevant], _mask(init))
-    actions = tuple(gt.actions[relevant[j]] for j in reached)
-    return GroundTask(gt.atoms, gt.atom_index, actions, init, gt.goal)
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "solve", lambda task, budget=None: handed.append(task))
+        SolvabilityCheck(gt)(_mask(gt.init | {gt.atom_index[e.atom] for e in chosen}))
+    [restricted] = handed
+    return restricted
 
 
 def ranked_min_cost_task(inst, decoys=5):

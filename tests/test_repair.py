@@ -9,9 +9,10 @@ from heapq import heappop, heappush
 import pytest
 
 from conftest import SIZES, load_plan
-from modelspace import repair
+from modelspace import planner, repair
 from modelspace.benchgen import ALL_KINDS
 from modelspace.benchgen.corpus import generate_corpus
+from modelspace.benchgen.perturb import verify_instance
 from modelspace.compilation import compile_executability
 from modelspace.edits import (
     ADD_INIT,
@@ -28,7 +29,6 @@ from modelspace.llm import ProviderConfig
 from modelspace.oracle import OracleProvider
 from modelspace.pddl import (
     GroundAtom,
-    GroundTask,
     Model,
     ground_task,
     parse_domain,
@@ -39,12 +39,11 @@ from modelspace.planner import (
     Plan,
     SOLVED,
     SearchStats,
+    SolvabilityCheck,
     UNSOLVABLE,
     _mask,
     _successor_index,
     missing_init_atoms,
-    relaxed_reach,
-    relevant_actions,
     solve,
     validate_plan,
 )
@@ -761,7 +760,7 @@ class TestMinCostIsExact:
         )
         task = RepairTask(Model(domain, problem), UNSOLVABILITY)
         r, g2, g1 = (ModelEdit(ADD_INIT, GroundAtom(n, ())) for n in ("r", "g2", "g1"))
-        solved = count_calls(repair.solve)
+        solved = count_calls(planner.solve)
         sol = repair_min_cost(task, assign_rank_costs([r, g2, g1]))
         assert (sol.edits, sol.total_cost) == (frozenset({r, g2}), 3.0)
         assert [solve(*call).status for call in solved] == [UNSOLVABLE, SOLVED]
@@ -776,7 +775,7 @@ class TestMinCostIsExact:
         present = ModelEdit(ADD_INIT, GroundAtom("has_taxi", ("a", "b")))
         fix = ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))
         assert present.atom in t2.problem.init
-        solved = count_calls(repair.solve)
+        solved = count_calls(planner.solve)
         sol = repair_min_cost(task, assign_rank_costs([present, fix]))
         assert (sol.edits, sol.total_cost) == (frozenset({fix}), 2.0)
         [call] = solved
@@ -792,39 +791,56 @@ class TestMinCostIsExact:
             repair_min_cost(task, [(fix, 1.0), (useless, cost)], Budget(max_expansions=100))
 
 
+def assert_check_agrees(model, full) -> bool:
+    """`SolvabilityCheck` on `model` against `full`, the full task's `solve`
+    verdict: the same status, a plan valid on the full model, and no search
+    where the goal is delete-relaxed unreachable. Returns whether it is."""
+    gt = ground_task(model)
+    check = SolvabilityCheck(gt)
+    verdict = check()
+    assert verdict.status == full.status
+    if verdict.solved:
+        assert validate_plan(model, verdict.plan).valid
+    dead = check.relaxed_dead(_mask(gt.init))
+    if dead:
+        assert (verdict.status, verdict.stats.expansions) == (UNSOLVABLE, 0)
+    return dead
+
+
 class TestRelaxedFilters:
-    """The two filters of the min-cost walk, on every subset of a small
-    space: delete-relaxed unreachability proves unsolvability, and solving
-    over the backward-relevant actions the relaxed pass reached decides
-    solvability as the full task does, with plans valid on the full
-    model."""
+    """The two filters of the one solvability check, on every subset of a
+    small space and on benchmark models: delete-relaxed unreachability
+    proves unsolvability, and solving over the backward-relevant actions
+    the relaxed pass reached decides solvability as the full task does,
+    with plans valid on the full model."""
 
     @pytest.mark.parametrize("kind, seed", MIN_COST_CASES)
     def test_every_subset(self, kind, seed):
         task, _, _ = ranked_case(kind, seed)
         dead = 0
         for edits, full in subset_verdicts(kind, seed).items():
-            repaired = apply_edits(task.base, edits)
-            gt = ground_task(repaired)
-            masks = [(_mask(a.pre), _mask(a.add)) for a in gt.actions]
-            goal = _mask(gt.goal)
-            relevant = relevant_actions(masks, goal)
-            reached, fired = relaxed_reach([masks[i] for i in relevant], _mask(gt.init))
-            if goal & reached != goal:
-                dead += 1
-                assert full.status == UNSOLVABLE
-            actions = tuple(gt.actions[relevant[j]] for j in fired)
-            restricted = solve(GroundTask(gt.atoms, gt.atom_index, actions, gt.init, gt.goal))
-            assert restricted.solved == full.solved
-            if restricted.solved:
-                assert validate_plan(repaired, restricted.plan).valid
+            dead += assert_check_agrees(apply_edits(task.base, edits), full)
         assert dead
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_corpus_models(self, kind):
+        """The perturbed and restored models of a small corpus, against the
+        full `solve` that `verify_instance` runs on them."""
+        for inst in generate_corpus([kind], 3, seed=20, **SIZES[kind]):
+            assert verify_instance(inst)
+            restored = inst.perturbed.with_init(
+                inst.perturbed.problem.init | inst.deleted_facts
+            )
+            for model, status in ((inst.perturbed, UNSOLVABLE), (restored, SOLVED)):
+                full = solve(ground_task(model))
+                assert full.status == status
+                assert_check_agrees(model, full)
 
 
 class TestMinCostWork:
     def test_barman_record_grounds_and_solves_once(self, count_calls):
         inst = generate_corpus(["barman_simple"], 1, seed=1, **SIZES["barman_simple"])[0]
-        grounded, solved = count_calls(repair.ground_task), count_calls(repair.solve)
+        grounded, solved = count_calls(repair.ground_task), count_calls(planner.solve)
         record = run_instance(
             inst, "pre_processor", "unsolvability", OracleProvider(inst),
             ProviderConfig(context_limit=10**6),
@@ -834,7 +850,7 @@ class TestMinCostWork:
 
     def test_unrepairable_list_never_solves(self, count_calls):
         task, family, decoys = ranked_case("barman_simple", 1)
-        solved = count_calls(repair.solve)
+        solved = count_calls(planner.solve)
         out = repair_min_cost(task, assign_rank_costs(decoys + family[1:]))
         assert isinstance(out, NoSolution) and out.reason == PROVEN_INSUFFICIENT
         assert (out.stats.expansions, len(solved)) == (0, 0)

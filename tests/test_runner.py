@@ -3,7 +3,7 @@ provider standing in for a real LLM."""
 
 import pytest
 
-from modelspace import pipelines, repair
+from modelspace import pipelines, planner, repair
 from modelspace.benchgen import make_instance
 from modelspace.edits import ADD_INIT
 from modelspace.llm import ProviderConfig
@@ -105,7 +105,7 @@ class TestRunInstance:
     def test_pre_processor_grounds_and_solves_once(self, travel_inst, count_calls):
         """The min-cost plan is the witness `judge` validates, so soundness
         costs no second grounding and no second search."""
-        grounded, solved = count_calls(repair.ground_task), count_calls(repair.solve)
+        grounded, solved = count_calls(repair.ground_task), count_calls(planner.solve)
         record = run_instance(
             travel_inst, "pre_processor", "unsolvability",
             OracleProvider(travel_inst), CFG,
