@@ -1,18 +1,19 @@
 """Forward uniform-cost search, VAL-style plan validation and repair advice.
 
-`solve` keeps a state as an int bitmask over atom indices, and each action
-as masks of its precondition, add and kept atoms, built once per call. An
-expansion tries only the actions that `_successor_index` hands back for the
-state's true watched atoms (the successor generator of Fast Downward), not
-every ground action; `repair._search` uses the same index for the
-executing nodes of its enumeration. Its candidate cache lives inside each
-call and there is no module-level state, so both entry points are pure
-functions over immutable inputs, and running many instances in parallel
-worker threads is safe.
+`solve`, the one state-space search, keeps a state as an int bitmask over
+atom indices, and each action as masks of its precondition, add and kept
+atoms, built once per call. An expansion tries only the actions that
+`_successor_index` hands back for the state's true watched atoms (the
+successor generator of Fast Downward), not every ground action. Its
+candidate cache lives inside each call and there is no module-level state,
+so the entry points are pure functions over immutable inputs, and running
+many instances in parallel worker threads is safe.
 
-`SolvabilityCheck`, the one solvability check of min-cost repair, `judge`
-and set-up, puts two cheap tests before `solve`: backward relevance to the
-goal and the goal's delete-relaxed reachability, both over int bitmasks.
+`SolvabilityCheck`, the one solvability check of min-cost repair,
+enumeration, `judge` and set-up, puts two cheap tests before `solve`:
+backward relevance to the goal and the goal's delete-relaxed reachability,
+both over int bitmasks. It also grows a relaxed-dead state to a maximal
+relaxed-dead one, for enumeration.
 """
 from __future__ import annotations
 
@@ -54,16 +55,11 @@ class Plan:
 
 @dataclass
 class SearchStats:
-    """Work one search did. `expansions` counts nodes expanded. What
-    `generated` counts depends on the search: `solve` counts pushes that
-    lower a state's cost; `repair._search` counts every successor, queued
-    or not: each action that applies to an executing node, and an editing
-    node's executing child and edit children, the latter counted when
-    their parent is expanded though its lazy fan-out materialises them
-    later.
-    `repair.repair_min_cost` counts edit sets: `expansions` the sets
-    popped and `generated` the sets pushed, each plus what its `solve`
-    calls counted."""
+    """Work one search did. `solve` counts states: `expansions` those
+    expanded, `generated` the pushes that lower a state's cost. A walk over
+    edit sets (`repair.repair_min_cost`, `repair._search`) counts in
+    `expansions` the sets it decides and in `generated` the sets it
+    produces, each plus what its `solve` calls counted."""
 
     expansions: int = 0
     generated: int = 0
@@ -154,7 +150,7 @@ def _successor_index(actions):
     that watches nothing or an atom in the state; each list is built once
     per set of true watched atoms, in a cache local to this call. Action
     order keeps the counters, and so the tie-breaking, of a scan over all
-    actions.
+    actions. `solve` alone uses it.
     """
     deleted = set().union(*(a.dele for a in actions))
     indexed = []
@@ -234,10 +230,49 @@ class SolvabilityCheck:
         masks = [(_mask(a.pre), _mask(a.add)) for a in task.actions]
         self.relevant = relevant_actions(masks, self.goal)
         self.masks = [masks[i] for i in self.relevant]
+        self._users = None  # atom -> relevant actions needing it, on first growth
 
     def relaxed_dead(self, state: int) -> bool:
         """The relaxed test alone: True proves `state` unsolvable."""
         return self.goal & relaxed_reach(self.masks, state)[0] != self.goal
+
+    def grow_dead(self, state: int, atoms) -> list[int] | None:
+        """None when `state` is not relaxed-dead; else the positions,
+        ascending, of the `atoms` (atom indices) kept when each in turn is
+        added to `state` if it stays relaxed-dead, so the kept ones span a
+        maximal relaxed-dead extension. One relaxed fixpoint is extended,
+        with a count of unmet preconditions per action and a log that
+        undoes an atom that reaches the goal."""
+        goal, masks = self.goal, self.masks
+        reached = relaxed_reach(masks, state)[0]
+        if goal & reached == goal:
+            return None
+        if self._users is None:
+            self._users = [[] for _ in self.task.atoms]
+            for i, (pre, _) in enumerate(masks):
+                for atom in _bits(pre):
+                    self._users[atom].append(i)
+        unmet = [(pre & ~reached).bit_count() for pre, _ in masks]
+        kept = []
+        for pos, atom in enumerate(atoms):
+            before, log = reached, []
+            pending = [] if reached >> atom & 1 else [atom]
+            reached |= 1 << atom
+            while pending and goal & reached != goal:
+                for i in self._users[pending.pop()]:
+                    unmet[i] -= 1
+                    log.append(i)
+                    if not unmet[i]:
+                        new = masks[i][1] & ~reached
+                        reached |= new
+                        pending.extend(_bits(new))
+            if goal & reached == goal:
+                for i in log:
+                    unmet[i] += 1
+                reached = before
+            else:
+                kept.append(pos)
+        return kept
 
     def __call__(self, state: int | None = None, budget: Budget | None = None) -> SolveVerdict:
         """The verdict from `state`, or from the task's init when None."""
@@ -258,6 +293,14 @@ def _mask(indices) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _bits(mask: int):
+    """The indices, ascending, of the bits set in `mask`."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _reconstruct(parents, state, cost) -> Plan:

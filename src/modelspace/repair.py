@@ -4,30 +4,15 @@ Executability needs no search: its one minimal repair is the set of atoms
 the target plan needs and lacks (`planner.missing_init_atoms`), returned
 when the space holds it and PROVEN_INSUFFICIENT otherwise.
 
-For unsolvability, min-cost repair walks edit sets in nondecreasing total
-cost over one grounding of the task, and decides each with one
-`planner.SolvabilityCheck` of it: delete-relaxed reachability of the goal
-over the backward-relevant actions, then `planner.solve` over the relevant
-actions the relaxed pass reached. The first set solved is the cheapest
-sound one.
-
-Enumeration runs `_search` on the same grounding: a node is a state, the
-set of edits applied to the initial state so far, and its phase. While
-editing, a node may apply one more edit, in ascending index order so each
-edit set is built once, or stop editing; while executing, it applies the
-task's actions. The node keeps its edit set so the search can go on past
-the first solution. States and edit sets are int bitmasks over atom and
-edit indices, keyed on one packed int, and edit sets are decoded to
-`ModelEdit`s only when it returns. Every edit counts one, so a node's cost
-is its edit-set size: nodes wait in one FIFO deque per size (a bucket
-queue) instead of a heap, an editing node's edit children are pushed one
-at a time (partial expansion, as in EPEA*), and an executing node tries
-only the actions whose watched precondition atom it holds (the successor
-index `planner.solve` also uses, as in Fast Downward). An edit set is
-tested against the solutions found before it once, when its editing node
-pops; bucket order leaves only itself to find after that. All of this
-keeps the expansion order of a priority-queue search that pushes every
-child, scans every action and tests every solution.
+For unsolvability, both searches walk edit sets over one grounding of
+the task and decide each with one `planner.SolvabilityCheck` of it:
+delete-relaxed reachability of the goal over the backward-relevant
+actions, then `planner.solve` over the relevant actions the relaxed pass
+reached. Min-cost repair walks them in nondecreasing total cost, and the
+first set solved is the cheapest sound one. Enumeration (`_search`) finds
+the first minimal sound sets in (cardinality, lexicographic) order by
+hitting-set dualization: soundness is monotone in the edit set, so each
+unsound set rules out every set inside it.
 Both searches keep the same edits of the space (`_kept_edits`).
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a
@@ -44,7 +29,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -63,8 +47,8 @@ from .planner import (
     SearchStats,
     SolvabilityCheck,
     UnknownAction,
+    _bits,
     _mask,
-    _successor_index,
     missing_init_atoms,
     validate_plan,
 )
@@ -98,12 +82,10 @@ class NoSolution:
 
 @dataclass
 class _Compiled:
-    """The ground task `_search` enumerates over and its kept edits, with
-    the add mask of each (index-aligned with `edits`)."""
+    """The ground task `_search` enumerates over and its kept edits."""
 
     task: GroundTask
     edits: list[ModelEdit]
-    adds: list[int]
 
 
 def _normalize_space(space) -> tuple[list[ModelEdit], list[float]]:
@@ -141,124 +123,100 @@ def _kept_edits(gt: GroundTask, space) -> list[tuple[ModelEdit, int, float]]:
 
 def _compile_edit_search(task: RepairTask, space) -> _Compiled:
     gt = ground_task(task.base)
-    kept = _kept_edits(gt, space)
-    return _Compiled(gt, [e for e, _, _ in kept], [1 << idx for _, idx, _ in kept])
+    return _Compiled(gt, [e for e, _, _ in _kept_edits(gt, space)])
 
 
 def _search(comp: _Compiled, budget: Budget):
-    """Uniform-cost enumeration over (state, applied-edit-set, phase) nodes.
+    """The first `MAX_RETAINED_SOLUTIONS` minimal sound edit sets, in
+    (cardinality, lexicographic) order (Reiter 1987; Liffiton et al. 2016,
+    MARCO). Returns (solutions, complete, stats), solutions a list of edit
+    frozensets in that order.
 
-    A state is an int bitmask over atom indices and an edit set an int
-    bitmask over edit indices. Edits are forced into ascending index order
-    so each edit set is explored once. Returns (solutions, exhausted,
-    stats): solutions is a list of edit frozensets in the order found,
-    decoded from their masks on return.
-
-    Every edit counts one and ending the editing phase or firing an action
-    counts nothing, so a node's cost is the size of its edit set. Nodes are
-    therefore queued in one FIFO deque per edit-set size, the current
-    size's and the next (a bucket queue, Dial 1969), and pop in the order a
-    priority queue on (cost, insertion counter) gives them. All executing
-    nodes of one edit set cost the same, so the first path to a key
-    ``state | edset << len(task.atoms)`` is a cheapest one: the key is
-    queued once, the first time it is generated, and recorded in `seen`.
-
-    A queued node is ``(state, edset, i)``. ``i is None`` marks an
-    executing node. Otherwise the node is editing, and an editing node has
-    one path to it, so it is never looked up in `seen`: ``i == -1`` is the
-    root, and ``i >= 0`` stands for edit child i of (state, edset), one
-    entry for its lazily fanned-out siblings. Popping it puts child i + 1
-    at the front of the current deque before child i is materialised,
-    which is where an eager push of all children would have it.
-    `stats.generated` counts all k children when the parent is expanded.
-    An editing node's other child is the executing node of the same state
-    and edit set; an executing node fires the actions whose watched atoms
-    it holds (see `planner._successor_index`).
-
-    A node whose edit set contains a solution found earlier is pruned: no
-    new minimal solution lies beyond it. An edit set's editing node pops
-    before its executing nodes, so it is tested there against every
-    solution found so far: size-1 solutions as one mask, `singles`, the
-    others one by one. Every solution found after it has its size, so it
-    can only hold one of them by being one, and its executing nodes are
-    pruned only when their own edit set has been found.
+    A block is the complement of an unsound set, which every sound set
+    meets. The kept edits whose atom is not in init are sorted, and for
+    sizes 0, 1, ... the sets that meet every block and hold no solution
+    found are decided in lex order (`_candidates`): a relaxed-dead one is
+    grown to a maximal relaxed-dead set whose complement becomes a block,
+    one `solve` refutes blocks its own complement, and a solved one is a
+    solution, minimal since every smaller one was found at its own size.
+    A minimal hitting set has no more members than there are blocks, so
+    the sizes stop there; none is tried when every edit together leaves the
+    goal relaxed-unreachable. The budget counts edit sets decided (`generated`
+    too) plus `solve`'s counters; complete is False when it runs out.
     """
     task = comp.task
     start = time.monotonic()
     stats = SearchStats()
-    n_edits = len(comp.edits)
-    adds = comp.adds
-    watched, candidates = _successor_index(task.actions)
-    shift = len(task.atoms)
-    goal = _mask(task.goal)
+    check = SolvabilityCheck(task)
+    init = _mask(task.init)
+    walk = sorted(e for e in comp.edits if not init >> task.atom_index[e.atom] & 1)
+    atoms = [task.atom_index[e.atom] for e in walk]
+    everything = (1 << len(walk)) - 1
+    found: list[int] = []  # solved edit sets, as masks over `walk`
+    blocks: list[int] = []
 
-    seen = set()
-    found: list[int] = []  # solved edit sets, in the order found
-    singles = 0
-    larger: set[int] = set()  # solved edit sets not of size 1
-
-    def result(exhausted):
+    def result(complete):
         stats.elapsed = time.monotonic() - start
-        solutions = [
-            frozenset(e for i, e in enumerate(comp.edits) if edset >> i & 1)
-            for edset in found
-        ]
-        return solutions, exhausted, stats
+        return [frozenset(walk[j] for j in _bits(s)) for s in found], complete, stats
 
+    if check.relaxed_dead(init | _mask(atoms)):
+        return result(True)
     size = 0
-    now = deque([(_mask(task.init), 0, -1)])
-    while now:
-        after = deque()  # nodes one edit larger
-        while now:
-            state, edset, i = now.popleft()
-            if i is None:
-                if edset in larger or edset & singles:
-                    continue
-            else:
-                if i >= 0:  # edit child i of (state, edset)
-                    if i + 1 < n_edits:
-                        now.appendleft((state, edset, i + 1))
-                    state |= adds[i]
-                    edset |= 1 << i
-                if edset & singles or any(c & edset == c for c in larger):
-                    continue
-            if goal & state == goal:
-                found.append(edset)
-                if size == 1:
-                    singles |= edset
-                else:
-                    larger.add(edset)
-                continue
+    while size <= min(len(walk), len(blocks)):
+        for edset in _candidates(size, len(walk), blocks, found):
             if stats.expansions >= budget.max_expansions or (
-                stats.expansions % 256 == 0
-                and time.monotonic() - start > budget.max_seconds
+                time.monotonic() - start > budget.max_seconds
             ):
                 return result(False)
             stats.expansions += 1
-
-            if i is None:
-                successors = [
-                    (state & keep) | add
-                    for pre, add, keep, _, _ in candidates(state & watched)
-                    if pre & state == pre
-                ]
-            else:
-                fan_out = n_edits - 1 - i
-                if fan_out:
-                    after.append((state, edset, i + 1))
-                    stats.generated += fan_out
-                successors = (state,)
-            stats.generated += len(successors)
-            edkey = edset << shift
-            for succ in successors:
-                key = succ | edkey
-                if key not in seen:
-                    seen.add(key)
-                    now.append((succ, edset, None))
-        now = after
+            stats.generated += 1
+            state = init | _mask(atoms[j] for j in _bits(edset))
+            grown = check.grow_dead(state, atoms)
+            if grown is not None:
+                blocks.append(everything & ~_mask(grown))
+                continue
+            verdict = check(state, Budget(budget.max_expansions - stats.expansions,
+                                          budget.max_seconds - (time.monotonic() - start)))
+            stats.expansions += verdict.stats.expansions
+            stats.generated += verdict.stats.generated
+            if verdict.status == BUDGET_EXHAUSTED:
+                return result(False)
+            if not verdict.solved:
+                blocks.append(everything & ~edset)
+                continue
+            found.append(edset)
+            if len(found) == MAX_RETAINED_SOLUTIONS:
+                return result(True)
         size += 1
-
     return result(True)
+
+
+def _candidates(size: int, n: int, blocks: list[int], found: list[int]):
+    """Masks of `size` of the indices 0..n-1, in lex order, that meet every
+    block and hold no found set. Blocks added while the caller consumes
+    them apply from then on. A prefix is cut when some block it misses has
+    no index above the prefix's last."""
+
+    def extend(chosen, low, left):
+        if any(f & chosen == f for f in found):
+            return
+        if not left:
+            if all(b & chosen for b in blocks):
+                yield chosen
+            return
+        allowed = (1 << n) - (1 << low)
+        for b in blocks:
+            if not b & chosen:
+                if not b & allowed:
+                    return
+                if left == 1:
+                    allowed &= b
+        for j in _bits(allowed):
+            if n - j < left:
+                return
+            yield from extend(chosen | 1 << j, j + 1, left - 1)
+
+    return extend(0, 0, size)
 
 
 def judge(
@@ -420,17 +378,19 @@ def _limit_reached(stats: SearchStats, budget: Budget) -> str:
 def enumerate_solutions(
     task: RepairTask, space, budget: Budget | None = None
 ) -> list[frozenset] | NoSolution:
-    """Exhaustive-until-budget enumeration of sound edit sets under unit
-    edit costs; strict supersets of found sets are pruned; at most 20
-    retained, ordered by (cardinality, lexicographic). Executability has
-    one minimal repair, found without search."""
+    """The first 20 minimal sound edit sets, ordered by (cardinality,
+    lexicographic), exactly (see `_search`). The budget bounds the edit
+    sets decided plus the planner expansions spent deciding them; when it
+    runs out the sets found so far come back, with a debug record naming
+    the limit, and none found is BUDGET_EXHAUSTED. Executability has one
+    minimal repair, found without search."""
     if task.use_case != UNSOLVABILITY:
         found = _executability_repair(task, space)
         return found if isinstance(found, NoSolution) else [found.edits]
     budget = budget or ENUM_BUDGET
     comp = _compile_edit_search(task, space)
-    solutions, exhausted, stats = _search(comp, budget)
-    if not exhausted:
+    solutions, complete, stats = _search(comp, budget)
+    if not complete:
         logger.debug(
             "enumeration stopped at budget: %d expansions, %d generated, "
             "%.3f s; %s reached; %d edits kept, %d solutions found",
@@ -439,10 +399,6 @@ def enumerate_solutions(
         )
     if not solutions:
         return NoSolution(
-            PROVEN_INSUFFICIENT if exhausted else BUDGET_EXHAUSTED, stats
+            PROVEN_INSUFFICIENT if complete else BUDGET_EXHAUSTED, stats
         )
-    # `_search` pops nodes in non-decreasing cardinality and prunes
-    # supersets of found sets on pop, so no solution is a strict superset of
-    # another: every set found is minimal.
-    sets = sorted(solutions, key=lambda s: (len(s), sorted(s)))
-    return sets[:MAX_RETAINED_SOLUTIONS]
+    return solutions
