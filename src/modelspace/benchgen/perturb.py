@@ -2,10 +2,12 @@
 minimal repair, by deleting 1-4 reasonable initial-state facts from a
 solvable model.
 
-The model is validated and solved once per instance; `SolvabilityCheck`
-proves each perturbation unsolvable. Restoring the deleted facts gives back
-a superset of the model's init, so under positive preconditions and goals
-the model's plan, the instance's target plan, solves the restored model."""
+The model is validated, grounded and solved once per instance. A
+perturbation changes only the init, so one `SolvabilityCheck` of that one
+grounding proves each perturbation unsolvable from its init's mask.
+Restoring the deleted facts gives back a superset of the model's init, so
+under positive preconditions and goals the model's plan, the instance's
+target plan, solves the restored model."""
 from __future__ import annotations
 
 import random
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 
 from ..pddl import GroundAtom, Model, ground_task
 from ..pddl.errors import PddlError
+from ..pddl.ground import _mask
 from ..planner import Plan, SolvabilityCheck, solve, validate_plan
 from .families import ROOMBA_FAMILY, ReasonableFamily
 
@@ -72,13 +75,16 @@ def perturb_unsolvable(
         )
     rng = random.Random(f"perturb:{domain_kind}:{seed}:{k}")
     model.validate()
-    plan = solve(ground_task(model)).plan
+    gt = ground_task(model)
+    plan = solve(gt).plan
     if plan is None:
         raise InvariantViolation("solvable original did not solve")
+    check = SolvabilityCheck(gt)
     for _ in range(max_tries):
         chosen = frozenset(rng.sample(candidates, k))
         perturbed = model.with_init(_perturb_init(model, chosen, family.family_id, rng))
-        if not SolvabilityCheck(ground_task(perturbed))().proven_unsolvable:
+        init = _mask(gt.atom_index[a] for a in perturbed.problem.init)
+        if not check(init).proven_unsolvable:
             continue
         restored = perturbed.with_init(perturbed.problem.init | chosen)
         if not validate_plan(restored, plan).valid:

@@ -92,19 +92,14 @@ def apply_edits(model: Model, edits) -> Model:
     return model.with_init(frozenset((init - removed) | added))
 
 
-def assign_rank_costs(
-    edits: list[ModelEdit], scheme: str = "doubling", truncate: bool = False
-) -> list[tuple[ModelEdit, float]]:
+def assign_rank_costs(edits: list[ModelEdit]) -> list[tuple[ModelEdit, float]]:
     """Doubling costs: cost_i = 2^(i-1), so any combination of the first i
-    edits is cheaper than including the (i+1)th."""
-    if scheme != "doubling":
-        raise ValueError(f"unknown cost scheme '{scheme}'")
+    edits is cheaper than including the (i+1)th. Raises TooManyEdits for an
+    empty list or one longer than `RANK_CAP`."""
     if not edits:
         raise TooManyEdits("ranked edit list must be nonempty")
     if len(edits) > RANK_CAP:
-        if not truncate:
-            raise TooManyEdits(f"ranked edit list longer than {RANK_CAP}")
-        edits = edits[:RANK_CAP]
+        raise TooManyEdits(f"ranked edit list longer than {RANK_CAP}")
     return [(e, float(2 ** i)) for i, e in enumerate(edits)]
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..edits import ADD_INIT, REMOVE_INIT, ModelEdit
+from ..edits import ADD_INIT, RANK_CAP, REMOVE_INIT, ModelEdit
 from ..pddl import GroundAtom, Model, is_ground_atom_well_typed, parse_sexpr
 from ..pddl.errors import PddlError
 
-MODE_AUTO = "auto"
 MODE_ADD_ONLY = "add_only"
 MODE_ADD_REMOVE = "add_remove"
 MODE_FULL_INIT = "full_init_block"
@@ -66,16 +65,16 @@ def _detect_mode(text: str) -> str:
     return MODE_ADD_ONLY
 
 
-def parse_edit_response(text: str, base: Model, mode: str = MODE_AUTO) -> ParsedEdits:
-    """Parse an LLM-only response into an edit set.
+def parse_edit_response(text: str, base: Model) -> ParsedEdits:
+    """Parse an LLM-only response into an edit set, in the format detected
+    from the text.
 
     FullInitBlock responses are diffed against the base init; AddOnly parses
     one atom per line; AddRemove parses the two labeled lists. Atoms are not
     validated against the model here -- an unsound or inapplicable edit set
     is judged later.
     """
-    if mode == MODE_AUTO:
-        mode = _detect_mode(text)
+    mode = _detect_mode(text)
 
     if mode == MODE_FULL_INIT:
         try:
@@ -109,13 +108,10 @@ def parse_edit_response(text: str, base: Model, mode: str = MODE_AUTO) -> Parsed
         }
         return ParsedEdits(frozenset(edits), rej1 + rej2)
 
-    if mode == MODE_ADD_ONLY:
-        atoms, rejected = _extract_atoms(text)
-        if not atoms:
-            raise UnparseableResponse("no atoms recovered from response")
-        return ParsedEdits(frozenset(ModelEdit(ADD_INIT, a) for a in atoms), rejected)
-
-    raise ValueError(f"unknown parse mode '{mode}'")
+    atoms, rejected = _extract_atoms(text)
+    if not atoms:
+        raise UnparseableResponse("no atoms recovered from response")
+    return ParsedEdits(frozenset(ModelEdit(ADD_INIT, a) for a in atoms), rejected)
 
 
 def parse_option_choice(text: str, n_options: int) -> int:
@@ -131,22 +127,22 @@ def parse_option_choice(text: str, n_options: int) -> int:
     return choice
 
 
-def parse_ranked_list(
-    text: str, base: Model, cap: int = 20
-) -> tuple[list[ModelEdit], list[str]]:
-    """Ordered addition candidates from a ranked-list response.
+def parse_ranked_list(text: str, base: Model) -> tuple[list[ModelEdit], list[str]]:
+    """Ordered addition candidates from a ranked-list response, at most
+    `RANK_CAP` of them.
 
     Skips atoms that are malformed for this problem (undeclared predicate or
-    object, wrong arity or type), duplicates, and atoms already in init;
-    order of survivors is preserved. Returns (edits, diagnostics).
+    object, wrong arity or type), duplicates, atoms already in init, and
+    every atom after the cap; order of survivors is preserved. Returns
+    (edits, diagnostics).
     """
     atoms, rejected = _extract_atoms(text)
     diagnostics = [f"unparseable: {r}" for r in rejected]
     out: list[ModelEdit] = []
     seen: set[GroundAtom] = set()
     for atom in atoms:
-        if len(out) >= cap:
-            diagnostics.append(f"over cap of {cap}: {atom}")
+        if len(out) >= RANK_CAP:
+            diagnostics.append(f"over cap of {RANK_CAP}: {atom}")
             continue
         if atom in seen:
             diagnostics.append(f"duplicate: {atom}")

@@ -1,4 +1,9 @@
-"""Grounding: instantiate schemas and predicates over the object universe."""
+"""Grounding: instantiate schemas and predicates over the object universe.
+
+A ground task is in the one format every search reads: each state, and each
+action's precondition, add and delete lists, is an int bitmask with bit i
+set for atom ``atoms[i]``, built here once per grounding (`_mask` and
+`_bits` convert to and from index lists)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,14 +19,10 @@ DEFAULT_GROUNDING_CAP = 10**6
 class GroundAction:
     name: str
     args: tuple[str, ...]
-    pre: frozenset[int]
-    add: frozenset[int]
-    dele: frozenset[int]
+    pre: int
+    add: int
+    dele: int
     cost: float = 1.0
-
-    @property
-    def label(self) -> str:
-        return "(" + " ".join((self.name,) + self.args) + ")"
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,8 @@ class GroundTask:
     atoms: tuple[GroundAtom, ...]
     atom_index: dict[GroundAtom, int]
     actions: tuple[GroundAction, ...]
-    init: frozenset[int]
-    goal: frozenset[int]
-
-    def atom(self, idx: int) -> GroundAtom:
-        return self.atoms[idx]
+    init: int
+    goal: int
 
 
 def _objects_by_type(domain: DomainModel, objects: dict[str, str]) -> dict[str, list[str]]:
@@ -85,8 +83,8 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
         for combo in product(*pools):
             binding = dict(zip(names, combo))
 
-            def inst(lifted) -> frozenset[int]:
-                out = set()
+            def inst(lifted) -> int:
+                out = 0
                 for atom in lifted:
                     args = []
                     for a in atom.args:
@@ -96,8 +94,8 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
                             args.append(a)
                         else:
                             raise UnknownObject(f"constant '{a}' in action '{schema.name}'")
-                    out.add(index_of[atom.predicate, tuple(args)])
-                return frozenset(out)
+                    out |= 1 << index_of[atom.predicate, tuple(args)]
+                return out
 
             actions.append(
                 GroundAction(
@@ -114,9 +112,25 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
         atoms=tuple(atoms),
         atom_index=atom_index,
         actions=tuple(actions),
-        init=frozenset(atom_index[a] for a in problem.init),
-        goal=frozenset(atom_index[a] for a in problem.goal),
+        init=_mask(atom_index[a] for a in problem.init),
+        goal=_mask(atom_index[a] for a in problem.goal),
     )
+
+
+def _mask(indices) -> int:
+    """The int bitmask with a bit set at each of the given atom indices."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _bits(mask: int):
+    """The indices, ascending, of the bits set in `mask`."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def enumerate_ground_atoms(model: Model, predicates=None) -> list[GroundAtom]:

@@ -184,7 +184,7 @@ def run_pre_processor(
         outcome.diagnostics.append(str(exc))
         return outcome
     outcome.diagnostics.extend(diagnostics)
-    space = assign_rank_costs(ranked, truncate=True)
+    space = assign_rank_costs(ranked)
     t0 = time.monotonic()
     solution = repair_min_cost(task, space, budget or ENUM_BUDGET)
     outcome.timings["search"] = time.monotonic() - t0

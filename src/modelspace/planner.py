@@ -1,18 +1,18 @@
 """Forward uniform-cost search, VAL-style plan validation and repair advice.
 
-`solve`, the one state-space search, keeps a state as an int bitmask over
-atom indices, and each action as masks of its precondition, add and kept
-atoms, built once per call. An expansion tries only the actions that
-`_successor_index` hands back for the state's true watched atoms (the
-successor generator of Fast Downward), not every ground action. Its
-candidate cache lives inside each call and there is no module-level state,
-so the entry points are pure functions over immutable inputs, and running
-many instances in parallel worker threads is safe.
+`solve`, the one state-space search, reads states and actions as the int
+bitmasks over atom indices that grounding built, with no conversion per
+call. An expansion tries only the actions that `_successor_index` hands
+back for the state's true watched atoms (the successor generator of Fast
+Downward), not every ground action. Its candidate cache lives inside each
+call and there is no module-level state, so the entry points are pure
+functions over immutable inputs, and running many instances in parallel
+worker threads is safe.
 
 `SolvabilityCheck`, the one solvability check of min-cost repair,
 enumeration, `judge` and set-up, puts two cheap tests before `solve`:
 backward relevance to the goal and the goal's delete-relaxed reachability,
-both over int bitmasks. It also grows a relaxed-dead state to a maximal
+both over the same masks. It also grows a relaxed-dead state to a maximal
 relaxed-dead one, for enumeration.
 """
 from __future__ import annotations
@@ -23,6 +23,7 @@ from heapq import heappop, heappush
 
 from .pddl import GroundAction, GroundAtom, GroundTask, Model
 from .pddl.errors import PddlError
+from .pddl.ground import _bits
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -99,7 +100,7 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
     start = time.monotonic()
     stats = SearchStats()
     watched, candidates = _successor_index(task.actions)
-    init, goal = _mask(task.init), _mask(task.goal)
+    init, goal = task.init, task.goal
 
     heap: list[tuple[float, int, int]] = [(0.0, 0, init)]
     best: dict[int, float] = {init: 0.0}
@@ -141,26 +142,28 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
 def _successor_index(actions):
     """Index actions by one watched precondition atom each.
 
-    An action watches an atom of its precondition that some action deletes
-    where it has one (such as ``at(c)``, true in few states), else any
-    precondition atom. One with no precondition watches nothing and is
-    always a candidate. Returns (watched, candidates): `watched` masks
-    every watched atom, and ``candidates(state & watched)`` lists, in
-    action order, the ``(pre, add, keep, cost, action)`` of each action
-    that watches nothing or an atom in the state; each list is built once
-    per set of true watched atoms, in a cache local to this call. Action
-    order keeps the counters, and so the tie-breaking, of a scan over all
-    actions. `solve` alone uses it.
+    An action watches the lowest-indexed atom of its precondition that some
+    action deletes where it has one (such as ``at(c)``, true in few
+    states), else its lowest-indexed precondition atom. One with no
+    precondition watches nothing and is always a candidate. Returns
+    (watched, candidates): `watched` masks every watched atom, and
+    ``candidates(state & watched)`` lists, in action order, the
+    ``(pre, add, keep, cost, action)`` of each action that watches nothing
+    or an atom in the state; each list is built once per set of true
+    watched atoms, in a cache local to this call. Action order keeps the
+    counters, and so the tie-breaking, of a scan over all actions. `solve`
+    alone uses it.
     """
-    deleted = set().union(*(a.dele for a in actions))
+    deleted = 0
+    for a in actions:
+        deleted |= a.dele
     indexed = []
     watched = 0
     for a in actions:
-        watch = _mask([min(a.pre, key=lambda j: (j not in deleted, j))] if a.pre else ())
+        low = a.pre & deleted or a.pre
+        watch = low & -low
         watched |= watch
-        indexed.append(
-            (watch, (_mask(a.pre), _mask(a.add), ~_mask(a.dele), a.cost, a))
-        )
+        indexed.append((watch, (a.pre, a.add, ~a.dele, a.cost, a)))
     by_fired: dict[int, list] = {}
 
     def candidates(fired):
@@ -226,8 +229,8 @@ class SolvabilityCheck:
 
     def __init__(self, task: GroundTask):
         self.task = task
-        self.goal = _mask(task.goal)
-        masks = [(_mask(a.pre), _mask(a.add)) for a in task.actions]
+        self.goal = task.goal
+        masks = [(a.pre, a.add) for a in task.actions]
         self.relevant = relevant_actions(masks, self.goal)
         self.masks = [masks[i] for i in self.relevant]
         self._users = None  # atom -> relevant actions needing it, on first growth
@@ -278,29 +281,12 @@ class SolvabilityCheck:
         """The verdict from `state`, or from the task's init when None."""
         task = self.task
         if state is None:
-            state = _mask(task.init)
+            state = task.init
         reached, fired = relaxed_reach(self.masks, state)
         if self.goal & reached != self.goal:
             return SolveVerdict(UNSOLVABLE)
-        init = frozenset(i for i in range(state.bit_length()) if state >> i & 1)
         actions = tuple(task.actions[self.relevant[j]] for j in fired)
-        return solve(GroundTask(task.atoms, task.atom_index, actions, init, task.goal), budget)
-
-
-def _mask(indices) -> int:
-    """The int bitmask with a bit set at each of the given atom indices."""
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def _bits(mask: int):
-    """The indices, ascending, of the bits set in `mask`."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return solve(GroundTask(task.atoms, task.atom_index, actions, state, task.goal), budget)
 
 
 def _reconstruct(parents, state, cost) -> Plan:

@@ -40,6 +40,7 @@ from .edits import (
     apply_edits,
 )
 from .pddl import GroundTask, ground_task
+from .pddl.ground import _bits, _mask
 from .planner import (
     BUDGET_EXHAUSTED,
     SOLVED,
@@ -47,8 +48,6 @@ from .planner import (
     SearchStats,
     SolvabilityCheck,
     UnknownAction,
-    _bits,
-    _mask,
     missing_init_atoms,
     validate_plan,
 )
@@ -110,13 +109,13 @@ def _kept_edits(gt: GroundTask, space) -> list[tuple[ModelEdit, int, float]]:
     of a minimal solution; dropping such edits (and hallucinated atoms
     outside the universe entirely) keeps the branching factor down.
     """
-    relevant = set(gt.goal)
+    relevant = gt.goal
     for act in gt.actions:
         relevant |= act.pre
     kept = []
     for edit, cost in zip(*_normalize_space(space)):
         idx = gt.atom_index.get(edit.atom)
-        if edit.kind == ADD_INIT and idx is not None and idx in relevant:
+        if edit.kind == ADD_INIT and idx is not None and relevant >> idx & 1:
             kept.append((edit, idx, cost))
     return kept
 
@@ -148,7 +147,7 @@ def _search(comp: _Compiled, budget: Budget):
     start = time.monotonic()
     stats = SearchStats()
     check = SolvabilityCheck(task)
-    init = _mask(task.init)
+    init = task.init
     walk = sorted(e for e in comp.edits if not init >> task.atom_index[e.atom] & 1)
     atoms = [task.atom_index[e.atom] for e in walk]
     everything = (1 << len(walk)) - 1
@@ -305,7 +304,7 @@ def repair_min_cost(
     stats = SearchStats()
     gt = ground_task(task.base)
     kept = _kept_edits(gt, space)
-    init = _mask(gt.init)
+    init = gt.init
     walk = sorted((k for k in kept if not init >> k[1] & 1), key=lambda k: k[2])
     adds = [1 << idx for _, idx, _ in walk]
     check = SolvabilityCheck(gt)

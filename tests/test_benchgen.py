@@ -271,13 +271,15 @@ class TestCorpus:
         assert len(inits) == 1
 
     def test_instance_setup_solve_count(self, count_calls):
-        """One solve on this seed's first try, `perturb_unsolvable`'s plan
-        of the model (the restore witness and the target plan), and one
-        solvability check of the perturbed model, which needs no solve: its
-        goal is delete-relaxed unreachable."""
+        """One grounding of the model on this seed's first try, one solve of
+        it, `perturb_unsolvable`'s plan (the restore witness and the target
+        plan), and one solvability check of that grounding from the
+        perturbed init, which needs no solve: its goal is delete-relaxed
+        unreachable."""
+        grounded = count_calls(ground_task)
         solved, checked = count_calls(solve), count_calls(SolvabilityCheck)
         inst = make_instance(TRAVEL, seed=8)
-        assert (len(solved), len(checked)) == (1, 1)
+        assert (len(grounded), len(solved), len(checked)) == (1, 1, 1)
         assert verify_instance(inst)
 
     def test_fixed_k_respected(self):

@@ -91,12 +91,6 @@ class TestRankCosts:
         with pytest.raises(TooManyEdits):
             assign_rank_costs(edits)
 
-    def test_cap_truncates_when_asked(self):
-        edits = [add("p", str(i)) for i in range(RANK_CAP + 5)]
-        ranked = assign_rank_costs(edits, truncate=True)
-        assert len(ranked) == RANK_CAP
-        assert ranked[-1][0] == edits[RANK_CAP - 1]
-
     def test_empty_list_rejected(self):
         with pytest.raises(TooManyEdits):
             assign_rank_costs([])

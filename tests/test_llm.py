@@ -6,7 +6,7 @@ import string
 import pytest
 
 from conftest import fixture_text, load_plan
-from modelspace.edits import ADD_INIT, REMOVE_INIT, ModelEdit
+from modelspace.edits import ADD_INIT, RANK_CAP, REMOVE_INIT, ModelEdit
 from modelspace.llm import (
     ALL_KINDS,
     DirectoryMockProvider,
@@ -277,3 +277,15 @@ class TestRankedListParsing:
     def test_nothing_usable_raises(self, t2):
         with pytest.raises(UnparseableResponse):
             parse_ranked_list("(at a)", t2)  # sole atom already in init
+
+    def test_list_capped_at_rank_cap(self, travel_model):
+        cities = sorted(travel_model.problem.objects)
+        atoms = [
+            GroundAtom("has_bus", (x, y)) for x in cities for y in cities
+            if GroundAtom("has_bus", (x, y)) not in travel_model.problem.init
+        ][:RANK_CAP + 5]
+        text = "\n".join(f"({a.predicate} {' '.join(a.args)})" for a in atoms)
+        edits, diagnostics = parse_ranked_list(text, travel_model)
+        assert (len(edits), len(diagnostics)) == (RANK_CAP, 5)
+        assert [e.atom for e in edits] == atoms[:RANK_CAP]
+        assert diagnostics == [f"over cap of {RANK_CAP}: {a}" for a in atoms[RANK_CAP:]]

@@ -201,8 +201,7 @@ class TestGrounding:
         gt = ground_task(t2)
         n = len(gt.atoms)
         for act in gt.actions:
-            for idx in act.pre | act.add | act.dele:
-                assert 0 <= idx < n
+            assert act.pre | act.add | act.dele < 1 << n
 
 
 class TestModelOps:

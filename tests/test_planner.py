@@ -10,6 +10,7 @@ import functools
 import itertools
 import random
 import time
+from dataclasses import replace
 from heapq import heappop, heappush
 
 import pytest
@@ -35,6 +36,7 @@ from modelspace.pddl import (
     parse_domain,
     parse_problem,
 )
+from modelspace.pddl.ground import _bits, _mask
 from modelspace.planner import (
     BUDGET_EXHAUSTED,
     Budget,
@@ -44,7 +46,6 @@ from modelspace.planner import (
     SearchStats,
     SolvabilityCheck,
     UnknownAction,
-    _mask,
     solve,
     validate_plan,
 )
@@ -58,8 +59,23 @@ def repaired_travel(model):
     )
 
 
+def as_sets(task):
+    """The ground task with its masks as frozensets of atom indices, the
+    form the references below read, so they share no mask code with the
+    search."""
+    def atoms(mask):
+        return frozenset(_bits(mask))
+
+    actions = tuple(
+        replace(a, pre=atoms(a.pre), add=atoms(a.add), dele=atoms(a.dele))
+        for a in task.actions
+    )
+    return replace(task, actions=actions, init=atoms(task.init), goal=atoms(task.goal))
+
+
 def bfs_goal_reachable(task) -> bool:
     """Independent reachability oracle over the ground task."""
+    task = as_sets(task)
     seen = {task.init}
     frontier = [task.init]
     while frontier:
@@ -78,6 +94,7 @@ def bfs_goal_reachable(task) -> bool:
 
 
 def bfs_optimal_cost(task) -> int | None:
+    task = as_sets(task)
     dist = {task.init: 0}
     frontier = [task.init]
     d = 0
@@ -102,6 +119,7 @@ def scan_solve(task, budget=None):
     """Reference for `solve`: the same Dijkstra loop over frozenset states
     that scans every action at every expansion. Returns (status, plan,
     expansions, generated)."""
+    task = as_sets(task)
     budget = budget or Budget()
     start = time.monotonic()
     stats = SearchStats()
@@ -166,7 +184,7 @@ def min_cost_task(task, space):
     handed = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "solve", lambda task, budget=None: handed.append(task))
-        SolvabilityCheck(gt)(_mask(gt.init | {gt.atom_index[e.atom] for e in chosen}))
+        SolvabilityCheck(gt)(gt.init | _mask(gt.atom_index[e.atom] for e in chosen))
     [restricted] = handed
     return restricted
 

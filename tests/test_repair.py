@@ -32,13 +32,13 @@ from modelspace.pddl import (
     parse_domain,
     parse_problem,
 )
+from modelspace.pddl.ground import _mask
 from modelspace.planner import (
     Budget,
     Plan,
     SOLVED,
     SolvabilityCheck,
     UNSOLVABLE,
-    _mask,
     _successor_index,
     missing_init_atoms,
     solve,
@@ -92,7 +92,7 @@ def brute_force_first_sets(task, space):
     gt = ground_task(task.base)
     check = SolvabilityCheck(gt)
     edits = sorted(e for e in space if e.atom not in task.base.problem.init)
-    init = _mask(gt.init)
+    init = gt.init
     found = []
     subsets = itertools.chain.from_iterable(
         itertools.combinations(edits, r) for r in range(len(edits) + 1)
@@ -544,11 +544,9 @@ class TestSuccessorIndex:
         space = build_edit_space(model, predicates={"key", "lit"})
         comp = _compile_edit_search(task, space)
         [switch, unlock] = comp.task.actions
-        assert switch.pre == frozenset()
+        assert switch.pre == 0
         _, candidates = _successor_index(comp.task.actions)
-        assert candidates(0) == [
-            (0, _mask(switch.add), ~_mask(switch.dele), switch.cost, switch)
-        ]
+        assert candidates(0) == [(0, switch.add, ~switch.dele, switch.cost, switch)]
         key = ModelEdit(ADD_INIT, GroundAtom("key", ()))
         assert _search(comp, Budget())[:2] == ([frozenset({key})], True)
 
@@ -795,7 +793,7 @@ def assert_check_agrees(model, full) -> bool:
     assert verdict.status == full.status
     if verdict.solved:
         assert validate_plan(model, verdict.plan).valid
-    dead = check.relaxed_dead(_mask(gt.init))
+    dead = check.relaxed_dead(gt.init)
     if dead:
         assert (verdict.status, verdict.stats.expansions) == (UNSOLVABLE, 0)
     return dead
@@ -841,14 +839,14 @@ class TestRelaxedFilters:
             check = SolvabilityCheck(gt)
             space = default_edit_space(kind, inst.perturbed)
             atoms = [gt.atom_index[e.atom] for e in sorted(space)]
-            state, kept = _mask(gt.init), []
+            state, kept = gt.init, []
             for pos, atom in enumerate(atoms):
                 if check.relaxed_dead(state | 1 << atom):
                     state |= 1 << atom
                     kept.append(pos)
-            assert check.grow_dead(_mask(gt.init), atoms) == kept
+            assert check.grow_dead(gt.init, atoms) == kept
             restored = _mask(gt.atom_index[a] for a in inst.deleted_facts)
-            assert check.grow_dead(_mask(gt.init) | restored, atoms) is None
+            assert check.grow_dead(gt.init | restored, atoms) is None
 
 
 class TestMinCostWork:
