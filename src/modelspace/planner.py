@@ -1,10 +1,14 @@
-"""Forward uniform-cost search, VAL-style plan validation and repair advice.
+"""Forward search, VAL-style plan validation and repair advice.
 
-`solve`, the one state-space search, reads states and actions as the int
-bitmasks over atom indices that grounding built, with no conversion per
-call. An expansion tries only the actions that `_successor_index` hands
-back for the state's true watched atoms (the successor generator of Fast
-Downward), not every ground action. Its candidate cache lives inside each
+`solve`, the one state-space search, is uniform-cost (Dijkstra) by default,
+so its plans are cheapest; with ``greedy=True`` the same loop is greedy
+best-first on the number of unmet goal atoms, which finds some plan, not
+the cheapest, and proves unsolvability the same way, by exhausting the
+reachable states. It reads states and actions as the int bitmasks over atom
+indices that grounding built, with no conversion per call. An expansion
+tries only the actions that `_successor_index` hands back for the state's
+true watched atoms (the successor generator of Fast Downward), not every
+ground action. Its candidate cache lives inside each
 call and there is no module-level state, so the entry points are pure
 functions over immutable inputs, and running many instances in parallel
 worker threads is safe.
@@ -12,8 +16,10 @@ worker threads is safe.
 `SolvabilityCheck`, the one solvability check of min-cost repair,
 enumeration, `judge` and set-up, puts two cheap tests before `solve`:
 backward relevance to the goal and the goal's delete-relaxed reachability,
-both over the same masks. It also grows a relaxed-dead state to a maximal
-relaxed-dead one, for enumeration.
+both over the same masks, and searches greedily: soundness needs only some
+plan, which `validate_plan` then checks. It also grows a relaxed-dead state
+to a maximal relaxed-dead one, for enumeration. Target plans and
+`benchgen.verify_instance` keep Dijkstra.
 """
 from __future__ import annotations
 
@@ -57,7 +63,8 @@ class Plan:
 @dataclass
 class SearchStats:
     """Work one search did. `solve` counts states: `expansions` those
-    expanded, `generated` the pushes that lower a state's cost. A walk over
+    expanded, `generated` the pushes, each of which lowers a state's cost
+    under Dijkstra and finds a state first in greedy mode. A walk over
     edit sets (`repair.repair_min_cost`, `repair._search`) counts in
     `expansions` the sets it decides and in `generated` the sets it
     produces, each plus what its `solve` calls counted."""
@@ -90,11 +97,18 @@ class ValidationReport:
     goal_satisfied: bool = False
 
 
-def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
+def solve(task: GroundTask, budget: Budget | None = None, greedy: bool = False) -> SolveVerdict:
     """Dijkstra with duplicate detection; lexicographic tie-breaking via the
     pre-sorted action order. Zero-cost actions are permitted.
 
-    UNSOLVABLE is returned only after the reachable state set is exhausted.
+    With `greedy`, greedy best-first search (as in FF; Hoffmann & Nebel
+    2001) instead: a state's priority is its number of unmet goal atoms,
+    ties go first-in first-out, and a state is pushed only when first found.
+    The plan is the path it was found on, `Plan.cost` that path's cost, so
+    the plan is valid but not always the cheapest.
+
+    In either mode UNSOLVABLE is returned only after the reachable state set
+    is exhausted.
     """
     budget = budget or Budget()
     start = time.monotonic()
@@ -109,10 +123,11 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
     counter = 1
 
     while heap:
-        g, _, state = heappop(heap)
+        priority, _, state = heappop(heap)
         if state in closed:
             continue
         closed.add(state)
+        g = best[state] if greedy else priority
         if goal & state == goal:
             stats.elapsed = time.monotonic() - start
             return SolveVerdict(SOLVED, _reconstruct(parents, state, g), stats)
@@ -128,10 +143,10 @@ def solve(task: GroundTask, budget: Budget | None = None) -> SolveVerdict:
                 succ = (state & keep) | add
                 ng = g + cost
                 old = best.get(succ)
-                if old is None or ng < old:
+                if old is None or ng < old and not greedy:
                     best[succ] = ng
                     parents[succ] = (state, act)
-                    heappush(heap, (ng, counter, succ))
+                    heappush(heap, ((goal & ~succ).bit_count() if greedy else ng, counter, succ))
                     counter += 1
                     stats.generated += 1
 
@@ -225,7 +240,8 @@ class SolvabilityCheck:
     """Is `task` solvable from a state, an int bitmask over atom indices?
     UNSOLVABLE with no search when `relaxed_reach` over the
     `relevant_actions` (found once per check) misses a goal atom, else the
-    verdict of `solve` over the relevant actions that pass reached."""
+    verdict of greedy `solve` over the relevant actions that pass reached:
+    its plan is valid, not always the cheapest."""
 
     def __init__(self, task: GroundTask):
         self.task = task
@@ -286,7 +302,8 @@ class SolvabilityCheck:
         if self.goal & reached != self.goal:
             return SolveVerdict(UNSOLVABLE)
         actions = tuple(task.actions[self.relevant[j]] for j in fired)
-        return solve(GroundTask(task.atoms, task.atom_index, actions, state, task.goal), budget)
+        restricted = GroundTask(task.atoms, task.atom_index, actions, state, task.goal)
+        return solve(restricted, budget, greedy=True)
 
 
 def _reconstruct(parents, state, cost) -> Plan:

@@ -7,12 +7,14 @@ when the space holds it and PROVEN_INSUFFICIENT otherwise.
 For unsolvability, both searches walk edit sets over one grounding of
 the task and decide each with one `planner.SolvabilityCheck` of it:
 delete-relaxed reachability of the goal over the backward-relevant
-actions, then `planner.solve` over the relevant actions the relaxed pass
-reached. Min-cost repair walks them in nondecreasing total cost, and the
-first set solved is the cheapest sound one. Enumeration (`_search`) finds
-the first minimal sound sets in (cardinality, lexicographic) order by
-hitting-set dualization: soundness is monotone in the edit set, so each
-unsound set rules out every set inside it.
+actions, then greedy `planner.solve` over the relevant actions the relaxed
+pass reached, so the expansions a budget counts are greedy ones and a plan
+found is valid but not always the cheapest. Min-cost repair walks edit
+sets in nondecreasing total cost, and the first set solved is the
+cheapest sound one: the cost is the edits', not the plan's. Enumeration
+(`_search`) finds the first minimal sound sets in (cardinality,
+lexicographic) order by hitting-set dualization: soundness is monotone in
+the edit set, so each unsound set rules out every set inside it.
 Both searches keep the same edits of the space (`_kept_edits`).
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a

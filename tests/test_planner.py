@@ -183,7 +183,7 @@ def min_cost_task(task, space):
     chosen = repair_min_cost(task, space).edits
     handed = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planner, "solve", lambda task, budget=None: handed.append(task))
+        mp.setattr(planner, "solve", lambda task, budget=None, greedy=False: handed.append(task))
         SolvabilityCheck(gt)(gt.init | _mask(gt.atom_index[e.atom] for e in chosen))
     [restricted] = handed
     return restricted
@@ -272,19 +272,21 @@ BARMAN_PLAN = (
 
 
 class TestSolveWork:
-    @pytest.mark.parametrize("seed, make_task, expansions, generated, steps, cost", [
-        (1, lambda inst: ground_task(restored(inst)), 329, 480, BARMAN_PLAN, 4.0),
-        (2, ranked_min_cost_task, 193, 224, BARMAN_PLAN, 4.0),
+    @pytest.mark.parametrize("seed, make_task, dijkstra, greedy, steps, cost", [
+        (1, lambda inst: ground_task(restored(inst)), (329, 480), (9, 44), BARMAN_PLAN, 4.0),
+        (2, ranked_min_cost_task, (193, 224), (8, 34), BARMAN_PLAN, 4.0),
     ], ids=["corpus", "min_cost"])
-    def test_solve_work_is_pinned(self, seed, make_task, expansions, generated, steps, cost):
-        """Expansions, generated nodes and the plan on a barman_simple corpus
-        task and on the task min-cost repair solves for a perturbed one under
-        doubling rank costs, where the sixth-ranked edit is the cheapest
-        repair."""
-        verdict = solve(make_task(corpus_instance("barman_simple", seed)))
-        assert verdict.status == SOLVED
-        assert (verdict.stats.expansions, verdict.stats.generated) == (expansions, generated)
-        assert verdict.plan == Plan(steps, cost)
+    def test_solve_work_is_pinned(self, seed, make_task, dijkstra, greedy, steps, cost):
+        """Expansions, generated nodes and the plan, in each mode, on a
+        barman_simple corpus task and on the task min-cost repair solves for
+        a perturbed one under doubling rank costs, where the sixth-ranked
+        edit is the cheapest repair."""
+        task = make_task(corpus_instance("barman_simple", seed))
+        for mode, work in ((False, dijkstra), (True, greedy)):
+            verdict = solve(task, greedy=mode)
+            assert verdict.status == SOLVED
+            assert (verdict.stats.expansions, verdict.stats.generated) == work
+            assert verdict.plan == Plan(steps, cost)
 
 
 class TestSolve:
@@ -313,9 +315,10 @@ class TestSolve:
 
     def test_budget_exhaustion_reported(self, travel_exec_model):
         gt = ground_task(repaired_travel(travel_exec_model))
-        verdict = solve(gt, Budget(max_expansions=1))
-        assert verdict.status == BUDGET_EXHAUSTED
-        assert not verdict.solved and not verdict.proven_unsolvable
+        for greedy in (False, True):
+            verdict = solve(gt, Budget(max_expansions=1), greedy=greedy)
+            assert verdict.status == BUDGET_EXHAUSTED
+            assert not verdict.solved and not verdict.proven_unsolvable
 
     def test_goal_in_init_needs_no_expansion_budget(self, t2):
         model = t2.with_init(t2.problem.init | t2.problem.goal)
@@ -326,7 +329,8 @@ class TestSolve:
     def test_agrees_with_reachability_oracle(self, travel_model, t2, barman_model):
         for model in (travel_model, t2, barman_model):
             gt = ground_task(model)
-            assert solve(gt).solved == bfs_goal_reachable(gt)
+            for greedy in (False, True):
+                assert solve(gt, greedy=greedy).solved == bfs_goal_reachable(gt)
 
     def test_randomized_against_oracle(self):
         """Random small travel instances: status and plan length both match."""
