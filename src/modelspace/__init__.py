@@ -8,7 +8,6 @@ from .edits import (
     EXECUTABILITY,
     REMOVE_INIT,
     UNSOLVABILITY,
-    EditSet,
     ModelEdit,
     RepairTask,
     apply_edits,
@@ -23,7 +22,6 @@ from .pddl import (
     ProblemModel,
     ground_task,
     parse_domain,
-    parse_model,
     parse_problem,
     render_domain,
     render_model,

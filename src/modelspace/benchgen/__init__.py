@@ -36,7 +36,6 @@ from .perturb import (
     PerturbationFailed,
     perturb_unsolvable,
     select_target_plan,
-    verify_instance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -61,8 +61,7 @@ def read_instance(directory: str | Path) -> BenchInstance:
     plan = None
     plan_path = directory / "target_plan.txt"
     if plan_path.exists():
-        steps = tuple((name, args) for name, args in parse_plan_text(plan_path.read_text()))
-        plan = Plan(steps=steps, cost=float(len(steps)))
+        plan = Plan(tuple(parse_plan_text(plan_path.read_text())))
     deleted = frozenset(GroundAtom(entry[0], tuple(entry[1:])) for entry in truth["deleted_facts"])
     return BenchInstance(
         id=truth["id"],

@@ -11,15 +11,13 @@ target plan, solves the restored model."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..pddl import GroundAtom, Model, ground_task
 from ..pddl.errors import PddlError
 from ..pddl.ground import _mask
 from ..planner import Plan, SolvabilityCheck, solve, validate_plan
-from .families import ROOMBA_FAMILY, ReasonableFamily
-
-_OBSTACLES = ("chair_blocking_path_between", "table_blocking_path_between")
+from .families import _OBSTACLES, ROOMBA_FAMILY, ReasonableFamily
 
 
 class PerturbationFailed(PddlError):
@@ -41,7 +39,6 @@ class BenchInstance:
     k: int
     seed: int
     target_plan: Plan | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _perturb_init(model: Model, chosen, family_id: str, rng) -> frozenset[GroundAtom]:
@@ -113,20 +110,3 @@ def select_target_plan(inst: BenchInstance) -> Plan:
     if validate_plan(inst.perturbed, plan).valid:
         raise InvariantViolation("target plan survived the perturbation")
     return plan
-
-
-def verify_instance(inst: BenchInstance) -> bool:
-    """Independent re-check of all instance invariants."""
-    if not solve(ground_task(inst.solvable)).solved:
-        return False
-    if not solve(ground_task(inst.perturbed)).proven_unsolvable:
-        return False
-    restored = inst.perturbed.with_init(inst.perturbed.problem.init | inst.deleted_facts)
-    if not solve(ground_task(restored)).solved:
-        return False
-    if inst.target_plan is not None:
-        if not validate_plan(inst.solvable, inst.target_plan).valid:
-            return False
-        if validate_plan(inst.perturbed, inst.target_plan).valid:
-            return False
-    return True

@@ -31,6 +31,7 @@ _PIPELINE_ALIASES = {
 
 # desk-scale wall clock default; the paper-scale preset restores 2 hours
 DESK_SECONDS = 60.0
+PRESETS = ("desk", "paper")
 
 
 def read_config(path: str | Path) -> dict:
@@ -66,7 +67,9 @@ def _provider_config(args, config: dict) -> ProviderConfig:
 
 
 def _budget(args, config: dict) -> Budget:
-    preset = _pick(args, config, "preset", str, None)
+    preset = _pick(args, config, "preset", str, "desk")
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; expected one of {', '.join(PRESETS)}")
     seconds = ENUM_BUDGET.max_seconds if preset == "paper" else DESK_SECONDS
     expansions = _pick(args, config, "uns_expansions", int, ENUM_BUDGET.max_expansions)
     seconds = _pick(args, config, "time_seconds", float, seconds)
@@ -99,8 +102,8 @@ def _load_task(args) -> RepairTask:
     problem = parse_problem(Path(args.problem).read_text(), domain)
     model = Model(domain, problem)
     if args.plan:
-        steps = tuple(parse_plan_text(Path(args.plan).read_text()))
-        return RepairTask(model, EXECUTABILITY, Plan(steps, float(len(steps))))
+        plan = Plan(tuple(parse_plan_text(Path(args.plan).read_text())))
+        return RepairTask(model, EXECUTABILITY, plan)
     return RepairTask(model, UNSOLVABILITY)
 
 
@@ -185,8 +188,8 @@ def cmd_report(args, config) -> int:
 def cmd_validate(args, config) -> int:
     domain = parse_domain(Path(args.domain).read_text())
     problem = parse_problem(Path(args.problem).read_text(), domain)
-    steps = tuple(parse_plan_text(Path(args.plan).read_text()))
-    report = validate_plan(Model(domain, problem), steps)
+    plan = Plan(tuple(parse_plan_text(Path(args.plan).read_text())))
+    report = validate_plan(Model(domain, problem), plan)
     if report.valid:
         print("valid")
         return 0
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _budget_flags(sub) -> None:
     sub.add_argument("--uns-expansions", dest="uns_expansions", type=int)
     sub.add_argument("--time-seconds", dest="time_seconds", type=float)
-    sub.add_argument("--preset", choices=["desk", "paper"])
+    sub.add_argument("--preset", choices=PRESETS)
 
 
 def _provider_flags(sub) -> None:

@@ -26,11 +26,11 @@ def _step_prefix(domain: DomainModel, n_steps: int) -> str:
     raise NameCollision("could not find a fresh step-fluent prefix")
 
 
-def compile_executability(model: Model, plan) -> Model:
+def compile_executability(model: Model, plan: Plan) -> Model:
     """Return a model M' over the same atom universe plus fresh step fluents
     step_0..step_n such that, for any initial-state edit set E over the
     original atoms, M'+E is solvable iff the plan is valid in model+E."""
-    steps = plan.steps if isinstance(plan, Plan) else tuple(plan)
+    steps = plan.steps
     grounded = [ground_plan_step(model, name, args) for name, args in steps]
 
     prefix = _step_prefix(model.domain, len(steps))

@@ -43,9 +43,6 @@ class ModelEdit:
         return f"({sign} {self.atom})"
 
 
-EditSet = frozenset  # of ModelEdit
-
-
 @dataclass(frozen=True)
 class RepairTask:
     base: Model

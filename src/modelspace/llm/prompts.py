@@ -138,8 +138,7 @@ def render_prompt(kind: str, model: Model, options=None, plan: Plan | None = Non
         "problem": render_problem(model.problem),
     }
     if needs_plan:
-        steps = plan.steps if isinstance(plan, Plan) else tuple(plan)
-        slots["plan"] = render_plan(steps)
+        slots["plan"] = render_plan(plan.steps)
     if needs_options:
         slots["options"] = format_options(options)
     return _TEMPLATES[kind].format(**slots)

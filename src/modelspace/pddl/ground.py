@@ -22,7 +22,6 @@ class GroundAction:
     pre: int
     add: int
     dele: int
-    cost: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,7 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
         if total > cap:
             raise GroundingBlowup(f"ground atom universe exceeds cap of {cap}")
 
-    atoms: list[GroundAtom] = []
-    for pred in sorted(domain.predicates):
-        types = domain.predicates[pred]
-        for combo in product(*(by_type[t] for t in types)):
-            atoms.append(GroundAtom(pred, combo))
+    atoms = enumerate_ground_atoms(model)
     atom_index = {a: i for i, a in enumerate(atoms)}
     # keyed on plain tuples: their hashing and equality run in C, where a
     # GroundAtom key goes through the dataclass __hash__ and __eq__

@@ -283,11 +283,6 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
     return problem
 
 
-def parse_model(domain_text: str, problem_text: str) -> Model:
-    domain = parse_domain(domain_text)
-    return Model(domain, parse_problem(problem_text, domain))
-
-
 def parse_plan_text(text: str) -> list[tuple[str, tuple[str, ...]]]:
     """Parse a VAL-style plan file: one '(action args...)' per line,
     ';'-prefixed comment lines ignored."""

@@ -91,8 +91,9 @@ def render_model(model: Model) -> str:
     return render_domain(model.domain) + "\n" + render_problem(model.problem)
 
 
-def render_plan(steps, unit_cost=True) -> str:
+def render_plan(steps) -> str:
+    """VAL plan text: one step per line, then the cost, which is the
+    number of steps since every action costs one."""
     lines = ["(" + " ".join((name,) + tuple(args)) + ")" for name, args in steps]
-    if unit_cost:
-        lines.append(f"; cost = {len(lines)} (unit cost)")
+    lines.append(f"; cost = {len(lines)} (unit cost)")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,12 @@
 """Forward search, VAL-style plan validation and repair advice.
 
-`solve`, the one state-space search, is uniform-cost (Dijkstra) by default,
-so its plans are cheapest; with ``greedy=True`` the same loop is greedy
-best-first on the number of unmet goal atoms, which finds some plan, not
-the cheapest, and proves unsolvability the same way, by exhausting the
-reachable states. It reads states and actions as the int bitmasks over atom
+Every action costs one: the parser rejects action costs, so a plan's cost
+is its length. `solve`, the one state-space search, is breadth-first by
+default, so its plans are shortest; with ``greedy=True`` the same loop is
+greedy best-first on the number of unmet goal atoms, which finds some plan,
+not always a shortest one. In both modes a state is pushed once, when it is
+first found, and unsolvability is proven by exhausting the reachable
+states. It reads states and actions as the int bitmasks over atom
 indices that grounding built, with no conversion per call. An expansion
 tries only the actions that `_successor_index` hands back for the state's
 true watched atoms (the successor generator of Fast Downward), not every
@@ -18,8 +20,8 @@ enumeration, `judge` and set-up, puts two cheap tests before `solve`:
 backward relevance to the goal and the goal's delete-relaxed reachability,
 both over the same masks, and searches greedily: soundness needs only some
 plan, which `validate_plan` then checks. It also grows a relaxed-dead state
-to a maximal relaxed-dead one, for enumeration. Target plans and
-`benchgen.verify_instance` keep Dijkstra.
+to a maximal relaxed-dead one, for enumeration. Target plans keep
+breadth-first search.
 """
 from __future__ import annotations
 
@@ -53,8 +55,10 @@ class Budget:
 
 @dataclass(frozen=True)
 class Plan:
+    """The steps ``(name, args)`` of a plan; every action costs one, so its
+    cost is its length."""
+
     steps: tuple[tuple[str, tuple[str, ...]], ...]
-    cost: float = 0.0
 
     def __len__(self):
         return len(self.steps)
@@ -63,11 +67,11 @@ class Plan:
 @dataclass
 class SearchStats:
     """Work one search did. `solve` counts states: `expansions` those
-    expanded, `generated` the pushes, each of which lowers a state's cost
-    under Dijkstra and finds a state first in greedy mode. A walk over
-    edit sets (`repair.repair_min_cost`, `repair._search`) counts in
-    `expansions` the sets it decides and in `generated` the sets it
-    produces, each plus what its `solve` calls counted."""
+    expanded, `generated` those found for the first time, each pushed
+    once. A walk over edit sets (`repair.repair_min_cost`,
+    `repair._search`) counts in `expansions` the sets it decides and in
+    `generated` the sets it produces, each plus what its `solve` calls
+    counted."""
 
     expansions: int = 0
     generated: int = 0
@@ -98,14 +102,15 @@ class ValidationReport:
 
 
 def solve(task: GroundTask, budget: Budget | None = None, greedy: bool = False) -> SolveVerdict:
-    """Dijkstra with duplicate detection; lexicographic tie-breaking via the
-    pre-sorted action order. Zero-cost actions are permitted.
+    """Breadth-first search with duplicate detection: a state is pushed
+    only when first found, with its depth as priority, ties go first in,
+    first out, and successors are tried in the pre-sorted action order, so
+    the plan is a shortest one and the same on every run.
 
     With `greedy`, greedy best-first search (as in FF; Hoffmann & Nebel
     2001) instead: a state's priority is its number of unmet goal atoms,
-    ties go first-in first-out, and a state is pushed only when first found.
-    The plan is the path it was found on, `Plan.cost` that path's cost, so
-    the plan is valid but not always the cheapest.
+    with the same pushes and ties. The plan is the path the goal state was
+    found on, valid but not always the shortest.
 
     In either mode UNSOLVABLE is returned only after the reachable state set
     is exhausted.
@@ -116,21 +121,15 @@ def solve(task: GroundTask, budget: Budget | None = None, greedy: bool = False) 
     watched, candidates = _successor_index(task.actions)
     init, goal = task.init, task.goal
 
-    heap: list[tuple[float, int, int]] = [(0.0, 0, init)]
-    best: dict[int, float] = {init: 0.0}
+    # (priority, push order, state); the push order is `stats.generated`
+    heap: list[tuple[int, int, int]] = [(0, 0, init)]
     parents: dict[int, tuple[int, GroundAction] | None] = {init: None}
-    closed: set[int] = set()
-    counter = 1
 
     while heap:
         priority, _, state = heappop(heap)
-        if state in closed:
-            continue
-        closed.add(state)
-        g = best[state] if greedy else priority
         if goal & state == goal:
             stats.elapsed = time.monotonic() - start
-            return SolveVerdict(SOLVED, _reconstruct(parents, state, g), stats)
+            return SolveVerdict(SOLVED, _reconstruct(parents, state), stats)
         if stats.expansions >= budget.max_expansions or (
             stats.expansions % 1024 == 0
             and time.monotonic() - start > budget.max_seconds
@@ -138,17 +137,15 @@ def solve(task: GroundTask, budget: Budget | None = None, greedy: bool = False) 
             stats.elapsed = time.monotonic() - start
             return SolveVerdict(BUDGET_EXHAUSTED, None, stats)
         stats.expansions += 1
-        for pre, add, keep, cost, act in candidates(state & watched):
+        depth = priority + 1
+        for pre, add, keep, act in candidates(state & watched):
             if pre & state == pre:
                 succ = (state & keep) | add
-                ng = g + cost
-                old = best.get(succ)
-                if old is None or ng < old and not greedy:
-                    best[succ] = ng
+                if succ not in parents:
                     parents[succ] = (state, act)
-                    heappush(heap, ((goal & ~succ).bit_count() if greedy else ng, counter, succ))
-                    counter += 1
                     stats.generated += 1
+                    heappush(heap, ((goal & ~succ).bit_count() if greedy else depth,
+                                    stats.generated, succ))
 
     stats.elapsed = time.monotonic() - start
     return SolveVerdict(UNSOLVABLE, None, stats)
@@ -163,7 +160,7 @@ def _successor_index(actions):
     precondition watches nothing and is always a candidate. Returns
     (watched, candidates): `watched` masks every watched atom, and
     ``candidates(state & watched)`` lists, in action order, the
-    ``(pre, add, keep, cost, action)`` of each action that watches nothing
+    ``(pre, add, keep, action)`` of each action that watches nothing
     or an atom in the state; each list is built once per set of true
     watched atoms, in a cache local to this call. Action order keeps the
     counters, and so the tie-breaking, of a scan over all actions. `solve`
@@ -178,7 +175,7 @@ def _successor_index(actions):
         low = a.pre & deleted or a.pre
         watch = low & -low
         watched |= watch
-        indexed.append((watch, (a.pre, a.add, ~a.dele, a.cost, a)))
+        indexed.append((watch, (a.pre, a.add, ~a.dele, a)))
     by_fired: dict[int, list] = {}
 
     def candidates(fired):
@@ -241,7 +238,7 @@ class SolvabilityCheck:
     UNSOLVABLE with no search when `relaxed_reach` over the
     `relevant_actions` (found once per check) misses a goal atom, else the
     verdict of greedy `solve` over the relevant actions that pass reached:
-    its plan is valid, not always the cheapest."""
+    its plan is valid, not always the shortest."""
 
     def __init__(self, task: GroundTask):
         self.task = task
@@ -306,13 +303,13 @@ class SolvabilityCheck:
         return solve(restricted, budget, greedy=True)
 
 
-def _reconstruct(parents, state, cost) -> Plan:
+def _reconstruct(parents, state) -> Plan:
     steps = []
     while parents[state] is not None:
         state, act = parents[state]
         steps.append((act.name, act.args))
     steps.reverse()
-    return Plan(tuple(steps), cost)
+    return Plan(tuple(steps))
 
 
 def ground_plan_step(
@@ -346,12 +343,11 @@ def ground_plan_step(
     return inst(schema.preconditions), inst(schema.add_effects), inst(schema.del_effects)
 
 
-def validate_plan(model: Model, plan) -> ValidationReport:
+def validate_plan(model: Model, plan: Plan) -> ValidationReport:
     """Simulate the plan from init; report the first step whose positive
     preconditions are unmet, then check the goal."""
-    steps = plan.steps if isinstance(plan, Plan) else tuple(plan)
     state = set(model.problem.init)
-    for i, (name, args) in enumerate(steps):
+    for i, (name, args) in enumerate(plan.steps):
         pre, add, dele = ground_plan_step(model, name, args)
         unmet = pre - state
         if unmet:
@@ -364,13 +360,12 @@ def validate_plan(model: Model, plan) -> ValidationReport:
     return ValidationReport(valid=goal_ok, failing_step=None, goal_satisfied=goal_ok)
 
 
-def missing_init_atoms(model: Model, plan) -> frozenset[GroundAtom] | None:
+def missing_init_atoms(model: Model, plan: Plan) -> frozenset[GroundAtom] | None:
     """The atoms the plan needs and the initial state lacks (VAL's repair
     advice): under positive preconditions and goals, the one minimal set of
     init additions that makes the plan valid. None when an unmet atom was
     deleted by an earlier step and not added back since: no addition helps."""
-    steps = plan.steps if isinstance(plan, Plan) else tuple(plan)
-    grounded = [ground_plan_step(model, name, args) for name, args in steps]
+    grounded = [ground_plan_step(model, name, args) for name, args in plan.steps]
     state, missing, deleted = set(model.problem.init), set(), set()
     # the goal is checked as a last step with no effects
     for pre, add, dele in grounded + [(model.problem.goal, set(), set())]:

@@ -9,7 +9,7 @@ the task and decide each with one `planner.SolvabilityCheck` of it:
 delete-relaxed reachability of the goal over the backward-relevant
 actions, then greedy `planner.solve` over the relevant actions the relaxed
 pass reached, so the expansions a budget counts are greedy ones and a plan
-found is valid but not always the cheapest. Min-cost repair walks edit
+found is valid but not always the shortest. Min-cost repair walks edit
 sets in nondecreasing total cost, and the first set solved is the
 cheapest sound one: the cost is the edits', not the plan's. Enumeration
 (`_search`) finds the first minimal sound sets in (cardinality,
@@ -47,6 +47,7 @@ from .planner import (
     BUDGET_EXHAUSTED,
     SOLVED,
     Budget,
+    Plan,
     SearchStats,
     SolvabilityCheck,
     UnknownAction,
@@ -221,17 +222,17 @@ def _candidates(size: int, n: int, blocks: list[int], found: list[int]):
 
 
 def judge(
-    task: RepairTask, edits, budget: Budget | None = None, witness=None
+    task: RepairTask, edits, budget: Budget | None = None, witness: Plan | None = None
 ) -> str:
     """SOUND, UNSOUND or INDETERMINATE: the objective metric recomputed on
     the repaired model. A solvability check that runs out of budget proves
     neither way. Raises PddlError when an edit cannot be applied.
 
-    For unsolvability, `witness` may give the steps ``(name, args)`` of a
-    plan believed to solve the repaired model. When `validate_plan` accepts
-    it the repair is SOUND without grounding or search; when it does not,
-    a warning is logged and the model is checked afresh as without a
-    witness, so a witness never changes a verdict it could not prove. Every
+    For unsolvability, `witness` may give a plan believed to solve the
+    repaired model. When `validate_plan` accepts it the repair is SOUND
+    without grounding or search; when it does not, a warning is logged and
+    the model is checked afresh as without a witness, so a witness never
+    changes a verdict it could not prove. Every
     SOUND verdict rests on a validated plan, the check's if not a witness.
     """
     repaired = apply_edits(task.base, edits)
@@ -239,18 +240,17 @@ def judge(
         if witness is not None and _witness_solves(repaired, witness):
             return SOUND
         verdict = SolvabilityCheck(ground_task(repaired))(budget=budget)
-        if verdict.solved and not _witness_solves(repaired, verdict.plan.steps):
+        if verdict.solved and not _witness_solves(repaired, verdict.plan):
             raise AssertionError("internal invariant violation: the check's plan is invalid")
         return {SOLVED: SOUND, BUDGET_EXHAUSTED: INDETERMINATE}.get(verdict.status, UNSOUND)
     return SOUND if validate_plan(repaired, task.target_plan).valid else UNSOUND
 
 
-def _witness_solves(model, witness) -> bool:
-    """True iff the witness steps are a valid plan for `model`; otherwise
-    logs one warning that names the failing step."""
-    steps = tuple(witness)
+def _witness_solves(model, witness: Plan) -> bool:
+    """True iff the witness is a valid plan for `model`; otherwise logs one
+    warning that names the failing step."""
     try:
-        report = validate_plan(model, steps)
+        report = validate_plan(model, witness)
     except UnknownAction as err:
         logger.warning("witness plan rejected, checking afresh: %s", err)
         return False
@@ -258,7 +258,7 @@ def _witness_solves(model, witness) -> bool:
         at = report.failing_step
         logger.warning(
             "witness plan rejected at %r, checking afresh: %s",
-            steps[at] if at is not None else None, report,
+            witness.steps[at] if at is not None else None, report,
         )
     return report.valid
 
@@ -343,7 +343,7 @@ def repair_min_cost(
             return finish(BUDGET_EXHAUSTED)
         if verdict.solved:
             edits = frozenset(walk[j][0] for j in members)
-            if judge(task, edits, witness=verdict.plan.steps) != SOUND:
+            if judge(task, edits, witness=verdict.plan) != SOUND:
                 raise AssertionError(
                     "internal invariant violation: search returned an unsound repair"
                 )

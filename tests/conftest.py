@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from modelspace.pddl import Model, parse_domain, parse_plan_text, parse_problem
-from modelspace.planner import Plan
+from modelspace.pddl import Model, ground_task, parse_domain, parse_plan_text, parse_problem
+from modelspace.planner import Plan, solve, validate_plan
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -30,7 +30,28 @@ def load_model(domain_name: str, problem_name: str) -> Model:
 
 def load_plan(name: str) -> Plan:
     steps = tuple(parse_plan_text(fixture_text(name)))
-    return Plan(steps, float(len(steps)))
+    return Plan(steps)
+
+
+def verify_instance(inst) -> bool:
+    """Independent re-check of a benchmark instance's invariants by
+    breadth-first search over each full task: the solvable model solves,
+    the perturbed one is proven unsolvable, restoring the deleted facts
+    solves it again, and the target plan is valid on the solvable model
+    and broken by the perturbation."""
+    if not solve(ground_task(inst.solvable)).solved:
+        return False
+    if not solve(ground_task(inst.perturbed)).proven_unsolvable:
+        return False
+    restored = inst.perturbed.with_init(inst.perturbed.problem.init | inst.deleted_facts)
+    if not solve(ground_task(restored)).solved:
+        return False
+    if inst.target_plan is not None:
+        if not validate_plan(inst.solvable, inst.target_plan).valid:
+            return False
+        if validate_plan(inst.perturbed, inst.target_plan).valid:
+            return False
+    return True
 
 
 @pytest.fixture

@@ -14,14 +14,13 @@ import time
 
 import pytest
 
-from conftest import GOLDEN, fixture_text, load_model
+from conftest import GOLDEN, fixture_text, load_model, verify_instance
 from modelspace.benchgen import (
     NOVEL_KINDS,
     ReasonableFamily,
     generate_corpus,
     perturb_unsolvable,
     select_target_plan,
-    verify_instance,
 )
 from modelspace.benchgen.domains import generate_travel, travel_domain
 from modelspace.compilation import compile_executability

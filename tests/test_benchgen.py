@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import modelspace
+from conftest import verify_instance
 from modelspace.benchgen import (
     ALL_KINDS,
     BARMAN_SIMPLE,
@@ -26,7 +27,6 @@ from modelspace.benchgen import (
     perturb_unsolvable,
     read_instance,
     select_target_plan,
-    verify_instance,
     write_instance,
 )
 from modelspace.benchgen.domains import (

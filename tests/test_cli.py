@@ -254,3 +254,17 @@ class TestConfig:
         cfg.write_text("model x\n")
         with pytest.raises(ValueError, match="1"):
             read_config(cfg)
+
+    def test_unknown_config_preset_rejected(self, capsys, t2_files, tmp_path):
+        """A misspelt preset in a config file is an error, as it is on the
+        command line, not a silent desk-scale budget."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text("preset = papr\n")
+        code, stdout, stderr = run(
+            capsys, "--config", str(cfg), "repair",
+            "--domain", str(t2_files / "domain.pddl"),
+            "--problem", str(t2_files / "problem.pddl"),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "error: unknown preset 'papr'" in stderr

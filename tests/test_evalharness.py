@@ -18,7 +18,7 @@ from modelspace.evalharness import (
 from modelspace.benchgen import family_for
 from modelspace.pddl import GroundAtom
 from modelspace.pddl.errors import PddlError
-from modelspace.planner import Budget
+from modelspace.planner import Budget, Plan
 from modelspace.repair import INDETERMINATE, SOUND, UNSOUND, judge
 
 
@@ -53,12 +53,12 @@ class TestJudging:
             judge(task, already_true)
 
     # use_bus a b, use_bus b c solves t2 once has_bus(b, c) is added
-    WITNESS = (("use_bus", ("a", "b")), ("use_bus", ("b", "c")))
+    WITNESS = Plan((("use_bus", ("a", "b")), ("use_bus", ("b", "c"))))
     CORRUPTED = {
-        "dropped_step": WITNESS[1:],
-        "unknown_action": (("fly", ("a", "c")),),
-        "wrong_arity": (("use_bus", ("a",)),) + WITNESS[1:],
-        "empty": (),
+        "dropped_step": Plan(WITNESS.steps[1:]),
+        "unknown_action": Plan((("fly", ("a", "c")),)),
+        "wrong_arity": Plan((("use_bus", ("a",)),) + WITNESS.steps[1:]),
+        "empty": Plan(()),
     }
 
     def test_valid_witness_needs_no_grounding_or_search(self, t2, count_calls):
@@ -87,7 +87,7 @@ class TestJudging:
         assert judge(task, edits, budget) == verdict
         assert len(checked) == 2
 
-    @pytest.mark.parametrize("witness", [None, (), WITNESS])
+    @pytest.mark.parametrize("witness", [None, Plan(()), WITNESS])
     def test_stale_edit_raises_with_any_witness(self, t2, witness):
         task = RepairTask(t2, UNSOLVABILITY)
         already_true = {ModelEdit(ADD_INIT, GroundAtom("at", ("a",)))}
@@ -105,7 +105,7 @@ class TestJudging:
         assert record.levelno == logging.WARNING
         assert record.name == "modelspace.repair"
         failing_step, report = record.args
-        assert failing_step == self.WITNESS[1]
+        assert failing_step == self.WITNESS.steps[1]
         assert report.failing_step == 0
 
     def test_preferred_requires_family_membership(self, t2):

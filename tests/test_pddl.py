@@ -72,9 +72,18 @@ class TestParsing:
             parse_sexpr("(a\n  ))")
         assert exc.value.line == 2
 
-    def test_unsupported_requirement_rejected(self):
+    @pytest.mark.parametrize("text", [
+        "(define (domain d) (:requirements :strips :fluents))",
+        "(define (domain d) (:requirements :strips :action-costs))",
+        "(define (domain d) (:requirements :strips) (:functions (total-cost)))",
+        "(define (domain d) (:requirements :strips) (:predicates (p))"
+        " (:action a :parameters () :precondition (p)"
+        " :effect (and (p) (increase (total-cost) 1))))",
+    ], ids=["fluents", "action-costs", "functions", "increase"])
+    def test_unsupported_requirement_rejected(self, text):
+        """Every action costs one: no input can give an action a cost."""
         with pytest.raises(UnsupportedFeature):
-            parse_domain("(define (domain d) (:requirements :strips :fluents))")
+            parse_domain(text)
 
     def test_negative_precondition_rejected(self):
         with pytest.raises(UnsupportedFeature):

@@ -116,9 +116,11 @@ def bfs_optimal_cost(task) -> int | None:
 
 
 def scan_solve(task, budget=None):
-    """Reference for `solve`: the same Dijkstra loop over frozenset states
-    that scans every action at every expansion. Returns (status, plan,
-    expansions, generated)."""
+    """Reference for `solve`: generic Dijkstra over frozenset states, with
+    each action's cost read as 1, that scans every action at every
+    expansion and keeps the re-push of a state whose cost falls and the
+    closed set, which `solve` drops. Returns (status, plan, expansions,
+    generated)."""
     task = as_sets(task)
     budget = budget or Budget()
     start = time.monotonic()
@@ -139,7 +141,7 @@ def scan_solve(task, budget=None):
             while parents[state] is not None:
                 state, act = parents[state]
                 steps.append((act.name, act.args))
-            plan = Plan(tuple(reversed(steps)), g)
+            plan = Plan(tuple(reversed(steps)))
             return SOLVED, plan, stats.expansions, stats.generated
         if stats.expansions >= budget.max_expansions or (
             stats.expansions % 1024 == 0
@@ -150,7 +152,7 @@ def scan_solve(task, budget=None):
         for act in task.actions:
             if act.pre <= state:
                 succ = (state - act.dele) | act.add
-                ng = g + act.cost
+                ng = g + 1
                 old = best.get(succ)
                 if old is None or ng < old:
                     best[succ] = ng
@@ -250,7 +252,7 @@ class TestSolveIsExact:
         task = lamp_task("(key)")
         outcome = solve_outcome(task)
         assert outcome == scan_solve(task)
-        assert outcome[:2] == (SOLVED, Plan((("switch", ()), ("unlock", ())), 2.0))
+        assert outcome[:2] == (SOLVED, Plan((("switch", ()), ("unlock", ()))))
         stuck = lamp_task("")
         assert solve_outcome(stuck) == scan_solve(stuck)
         assert solve_outcome(stuck)[0] == UNSOLVABLE
@@ -260,7 +262,7 @@ class TestSolveIsExact:
         task = ground_task(t2.with_init(t2.problem.init | t2.problem.goal))
         outcome = solve_outcome(task, budget)
         assert outcome == scan_solve(task, budget)
-        assert outcome == (SOLVED, Plan((), 0.0), 0, 0)
+        assert outcome == (SOLVED, Plan(()), 0, 0)
 
 
 BARMAN_PLAN = (
@@ -272,21 +274,21 @@ BARMAN_PLAN = (
 
 
 class TestSolveWork:
-    @pytest.mark.parametrize("seed, make_task, dijkstra, greedy, steps, cost", [
-        (1, lambda inst: ground_task(restored(inst)), (329, 480), (9, 44), BARMAN_PLAN, 4.0),
-        (2, ranked_min_cost_task, (193, 224), (8, 34), BARMAN_PLAN, 4.0),
+    @pytest.mark.parametrize("seed, make_task, breadth_first, greedy, steps", [
+        (1, lambda inst: ground_task(restored(inst)), (329, 480), (9, 44), BARMAN_PLAN),
+        (2, ranked_min_cost_task, (193, 224), (8, 34), BARMAN_PLAN),
     ], ids=["corpus", "min_cost"])
-    def test_solve_work_is_pinned(self, seed, make_task, dijkstra, greedy, steps, cost):
+    def test_solve_work_is_pinned(self, seed, make_task, breadth_first, greedy, steps):
         """Expansions, generated nodes and the plan, in each mode, on a
         barman_simple corpus task and on the task min-cost repair solves for
         a perturbed one under doubling rank costs, where the sixth-ranked
         edit is the cheapest repair."""
         task = make_task(corpus_instance("barman_simple", seed))
-        for mode, work in ((False, dijkstra), (True, greedy)):
+        for mode, work in ((False, breadth_first), (True, greedy)):
             verdict = solve(task, greedy=mode)
             assert verdict.status == SOLVED
             assert (verdict.stats.expansions, verdict.stats.generated) == work
-            assert verdict.plan == Plan(steps, cost)
+            assert verdict.plan == Plan(steps)
 
 
 class TestSolve:
@@ -382,14 +384,14 @@ class TestValidatePlan:
         assert GroundAtom("has_bus", ("city_b", "city_c")) in report.unmet_preconditions
 
     def test_executes_but_misses_goal(self, travel_exec_model):
-        plan = Plan((("use_bus", ("city_a", "city_b")),), 1.0)
+        plan = Plan((("use_bus", ("city_a", "city_b")),))
         report = validate_plan(travel_exec_model, plan)
         assert not report.valid
         assert report.failing_step is None
         assert not report.goal_satisfied
 
     def test_empty_plan_valid_iff_goal_holds(self, travel_exec_model):
-        empty = Plan((), 0.0)
+        empty = Plan(())
         assert not validate_plan(travel_exec_model, empty).valid
         at_goal = travel_exec_model.with_init(
             travel_exec_model.problem.init | {GroundAtom("at", ("city_e",))}
@@ -398,11 +400,11 @@ class TestValidatePlan:
 
     def test_unknown_action_rejected(self, travel_exec_model):
         with pytest.raises(UnknownAction):
-            validate_plan(travel_exec_model, Plan((("teleport", ("city_a",)),), 1.0))
+            validate_plan(travel_exec_model, Plan((("teleport", ("city_a",)),)))
 
     def test_wrong_arity_rejected(self, travel_exec_model):
         with pytest.raises(UnknownAction):
-            validate_plan(travel_exec_model, Plan((("use_bus", ("city_a",)),), 1.0))
+            validate_plan(travel_exec_model, Plan((("use_bus", ("city_a",)),)))
 
 
 class TestCompilation:

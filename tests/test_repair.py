@@ -3,15 +3,13 @@
 import functools
 import itertools
 import logging
-import math
 
 import pytest
 
-from conftest import SIZES, load_plan
+from conftest import SIZES, load_plan, verify_instance
 from modelspace import planner, repair
 from modelspace.benchgen import ALL_KINDS
 from modelspace.benchgen.corpus import generate_corpus
-from modelspace.benchgen.perturb import verify_instance
 from modelspace.compilation import compile_executability
 from modelspace.edits import (
     ADD_INIT,
@@ -545,7 +543,7 @@ class TestSuccessorIndex:
         [switch, unlock] = comp.task.actions
         assert switch.pre == 0
         _, candidates = _successor_index(comp.task.actions)
-        assert candidates(0) == [(0, switch.add, ~switch.dele, switch.cost, switch)]
+        assert candidates(0) == [(0, switch.add, ~switch.dele, switch)]
         key = ModelEdit(ADD_INIT, GroundAtom("key", ()))
         assert _search(comp, Budget())[:2] == ([frozenset({key})], True)
 
@@ -591,7 +589,7 @@ def exec_case(kind, seed, cut=0, decoys=3):
     plan lacks, then a few other relevant additions."""
     inst = generate_corpus([kind], 1, seed=seed)[0]
     steps = inst.target_plan.steps[:len(inst.target_plan.steps) - cut]
-    task = RepairTask(inst.perturbed, EXECUTABILITY, Plan(steps, float(len(steps))))
+    task = RepairTask(inst.perturbed, EXECUTABILITY, Plan(steps))
     missing = missing_init_atoms(task.base, task.target_plan)
     needed = [ModelEdit(ADD_INIT, a) for a in sorted(missing)]
     others = [e for e in default_edit_space(kind, inst.perturbed) if e not in needed]
@@ -664,7 +662,7 @@ class TestExecutabilityClosedForm:
         travel move from the city it has just left."""
         _, task, space = exec_case(kind, seed)
         steps = task.target_plan.steps
-        plan = Plan(steps[:1] + steps, len(steps) + 1.0)
+        plan = Plan(steps[:1] + steps)
         assert missing_init_atoms(task.base, plan) is None
         assert not brute_force_valid_sets(task.base, plan, space)
         assert_proven_insufficient(RepairTask(task.base, EXECUTABILITY, plan), space)
@@ -850,9 +848,9 @@ class TestRelaxedFilters:
 
 class TestGreedySolve:
     """Greedy `solve`, the search of the one solvability check, against
-    Dijkstra on the full task of every subset of a small space: the same
-    status, and a plan valid on the model whose cost is its steps' and no
-    less than the cheapest plan's."""
+    breadth-first `solve` on the full task of every subset of a small
+    space: the same status, and a plan valid on the model and no shorter
+    than the shortest plan."""
 
     @pytest.mark.parametrize("kind, seed", MIN_COST_CASES)
     def test_every_subset(self, kind, seed):
@@ -864,9 +862,7 @@ class TestGreedySolve:
             assert verdict.status == full.status
             if verdict.solved:
                 assert validate_plan(model, verdict.plan).valid
-                cost = {(a.name, a.args): a.cost for a in gt.actions}
-                steps = math.fsum(cost[step] for step in verdict.plan.steps)
-                assert verdict.plan.cost == steps >= full.plan.cost
+                assert len(verdict.plan) >= len(full.plan)
 
 
 class TestMinCostWork:
