@@ -129,7 +129,8 @@ def cmd_repair(args, config) -> int:
         if isinstance(options, NoSolution):
             print(f"no solution: {options.reason}", file=sys.stderr)
             return 1
-        print(format_edit_set(options[0]) if options[0] else "(no edits needed)")
+        edits = options[0].edits
+        print(format_edit_set(edits) if edits else "(no edits needed)")
         return 0
     pipeline = _PIPELINE_ALIASES[args.pipeline]
     cfg = _provider_config(args, config)
@@ -177,10 +178,15 @@ def cmd_run(args, config) -> int:
 def cmd_report(args, config) -> int:
     records = runner.read_records_jsonl(args.records)
     report = evalharness.aggregate(records)
+    # every output is built before any is written, so a bad record leaves none
+    outputs = {
+        "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
+        "report.md": evalharness.render_report_md(report),
+        "figdata.csv": evalharness.emit_fig_data(records),
+    }
     out_dir = Path(args.out_dir)
-    atomic_write(out_dir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    atomic_write(out_dir / "report.md", evalharness.render_report_md(report))
-    atomic_write(out_dir / "figdata.csv", evalharness.emit_fig_data(records))
+    for name, text in outputs.items():
+        atomic_write(out_dir / name, text)
     print(f"wrote report.json, report.md, figdata.csv to {out_dir}")
     return 0
 

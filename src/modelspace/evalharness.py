@@ -9,29 +9,25 @@ import io
 PIPELINE_ORDER = ("llm_only", "post_processor", "pre_processor")
 
 
-class SchemaError(Exception):
-    pass
+class SchemaError(ValueError):
+    """A record is not an object or lacks a key the report needs."""
 
 
-class UnknownInstance(Exception):
-    pass
-
-
-def judge_preferred(edits, family, model, repair_needed: bool = True) -> bool:
-    """True iff every edit belongs to the family; the empty set counts only
-    when no repair was needed in the first place."""
-    if not edits:
-        return not repair_needed
-    return family.is_member_set(edits, model)
+def judge_preferred(edits, family, model) -> bool:
+    """True iff the edits are not empty and all belong to the family."""
+    return bool(edits) and family.is_member_set(edits, model)
 
 
 _REQUIRED_KEYS = (
     "instance_id", "domain", "pipeline", "use_case", "sound", "preferred", "failure",
 )
+_FIG_KEYS = _REQUIRED_KEYS + ("edit_size", "plan_size")
 
 
-def _check_record(record: dict) -> None:
-    for key in _REQUIRED_KEYS:
+def _check_record(record: dict, keys=_REQUIRED_KEYS) -> None:
+    if not isinstance(record, dict):
+        raise SchemaError(f"record is not an object: {record!r}")
+    for key in keys:
         if key not in record:
             raise SchemaError(f"record missing '{key}': {record}")
 
@@ -59,7 +55,7 @@ def _fold(cell: dict, record: dict) -> None:
         cell["failures"][record["failure"]] = cell["failures"].get(record["failure"], 0) + 1
 
 
-def aggregate(records, metadata: dict | None = None) -> dict:
+def aggregate(records) -> dict:
     """Pure fold over outcome records into per (use case, domain, pipeline)
     tallies plus an Overall row; independent of record order."""
     cells: dict = {}
@@ -71,7 +67,7 @@ def aggregate(records, metadata: dict | None = None) -> dict:
         _fold(cell, record)
         _fold(overall.setdefault(uc, {}).setdefault(pipe, _new_cell()), record)
 
-    report: dict = {"schema": 1, "use_cases": {}, "metadata": metadata or {}}
+    report: dict = {"schema": 1, "use_cases": {}, "metadata": {}}
     for uc in sorted(cells):
         report["use_cases"][uc] = {
             "domains": {
@@ -110,23 +106,14 @@ def render_report_md(report: dict) -> str:
     return "\n".join(lines)
 
 
-def emit_fig_data(records, index: dict | None = None) -> str:
-    """CSV of per-record soundness bars: +1 sound, -1 otherwise. `index` maps
-    instance_id -> {edit_size, plan_size} for records lacking those fields."""
+def emit_fig_data(records) -> str:
+    """CSV of per-record soundness bars: +1 sound, -1 otherwise."""
     rows = []
     for record in records:
-        _check_record(record)
-        edit_size = record.get("edit_size")
-        plan_size = record.get("plan_size")
-        if edit_size is None or plan_size is None:
-            info = (index or {}).get(record["instance_id"])
-            if info is None:
-                raise UnknownInstance(record["instance_id"])
-            edit_size = info["edit_size"]
-            plan_size = info["plan_size"]
+        _check_record(record, _FIG_KEYS)
         rows.append((
-            record["domain"], edit_size, record["instance_id"], record["pipeline"],
-            plan_size, 1 if record["sound"] else -1,
+            record["domain"], record["edit_size"], record["instance_id"],
+            record["pipeline"], record["plan_size"], 1 if record["sound"] else -1,
         ))
     rows.sort()
     buf = io.StringIO()

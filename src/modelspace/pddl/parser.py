@@ -7,6 +7,8 @@ lowercase.
 """
 from __future__ import annotations
 
+import re
+
 from .errors import PddlSyntaxError, UnsupportedFeature
 from .model import (
     ROOT_TYPE,
@@ -26,36 +28,22 @@ class _Token(str):
     column = 0
 
 
+# a newline, a parenthesis, a comment or an identifier; only spaces, tabs and
+# carriage returns are skipped (\x0b or \xa0 belongs to an identifier)
+_TOKEN_RE = re.compile(r"\n|[()]|;[^\n]*|[^ \t\r\n();]+")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        lexeme = match.group()
+        if lexeme == "\n":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tok = _Token(ch)
-            tok.line, tok.column = line, col
-            tokens.append(tok)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tok = _Token(text[start:i].lower())
-            tok.line, tok.column = line, start_col
+            line_start = match.end()
+        elif lexeme[0] != ";":
+            tok = _Token(lexeme.lower())
+            tok.line, tok.column = line, match.start() - line_start + 1
             tokens.append(tok)
     return tokens
 

@@ -4,6 +4,8 @@ Every entry point returns a PipelineOutcome; failures are captured in the
 outcome rather than raised. The post- and pre-processor configurations only
 ever propose verified-sound edit sets or record a failure; one
 `planner.Budget`, by default `repair.ENUM_BUDGET`, bounds their searches.
+Searched answers carry the plan that solved them, which `judge` checks in
+place of grounding and searching them again.
 """
 from __future__ import annotations
 
@@ -140,7 +142,9 @@ def run_post_processor(
         if task.use_case == UNSOLVABILITY
         else prompts.POST_PROCESSOR_EXECUTABILITY
     )
-    prompt = prompts.render_prompt(kind, task.base, options=options, plan=task.target_plan)
+    prompt = prompts.render_prompt(
+        kind, task.base, options=[o.edits for o in options], plan=task.target_plan
+    )
     text = _ask(outcome, provider, cfg, prompt)
     if text is None:
         return outcome
@@ -150,10 +154,10 @@ def run_post_processor(
         outcome.failure = FAIL_UNPARSEABLE
         outcome.diagnostics.append(str(exc))
         return outcome
-    edits = options[choice - 1]
-    if judge(task, edits) != SOUND:
+    option = options[choice - 1]
+    if judge(task, option.edits, witness=option.witness) != SOUND:
         raise AssertionError("enumerated option failed re-verification")
-    outcome.edits = edits
+    outcome.edits = option.edits
     outcome.sound = True
     return outcome
 

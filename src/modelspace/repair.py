@@ -15,7 +15,8 @@ cheapest sound one: the cost is the edits', not the plan's. Enumeration
 (`_search`) finds the first minimal sound sets in (cardinality,
 lexicographic) order by hitting-set dualization: soundness is monotone in
 the edit set, so each unsound set rules out every set inside it.
-Both searches keep the same edits of the space (`_kept_edits`).
+Both searches keep the same edits of the space (`_kept_edits`) and
+answer with `RepairSolution`s that carry the plan that solved them.
 Removal edits are not searched: preconditions and goals are positive-only,
 so growing the initial state is monotone and no minimal repair removes a
 fact.
@@ -23,8 +24,8 @@ fact.
 `judge` decides soundness (SOUND, UNSOUND or INDETERMINATE) by recomputing
 the objective metric on the repaired model, and for unsolvability proves
 SOUND only by a plan `validate_plan` (VAL-style simulation, independent of
-the search) accepts: the witness `repair_min_cost` hands on with its
-answer, or else the plan of a fresh `SolvabilityCheck`.
+the search) accepts: the witness either search hands on with its answer,
+or else the plan of a fresh `SolvabilityCheck`.
 """
 from __future__ import annotations
 
@@ -71,9 +72,14 @@ MAX_RETAINED_SOLUTIONS = 20
 
 @dataclass
 class RepairSolution:
+    """A sound edit set, its total edit cost and, for unsolvability, the
+    plan that proved it (`witness`, for `judge`). `stats` is the min-cost
+    search's own; enumerated options leave it empty."""
+
     edits: frozenset[ModelEdit]
     total_cost: float
     stats: SearchStats = field(default_factory=SearchStats)
+    witness: Plan | None = None
 
 
 @dataclass
@@ -84,10 +90,11 @@ class NoSolution:
 
 @dataclass
 class _Compiled:
-    """The ground task `_search` enumerates over and its kept edits."""
+    """The ground task `_search` enumerates over, its kept edits and costs."""
 
     task: GroundTask
     edits: list[ModelEdit]
+    costs: dict[ModelEdit, float]
 
 
 def _normalize_space(space) -> tuple[list[ModelEdit], list[float]]:
@@ -125,14 +132,15 @@ def _kept_edits(gt: GroundTask, space) -> list[tuple[ModelEdit, int, float]]:
 
 def _compile_edit_search(task: RepairTask, space) -> _Compiled:
     gt = ground_task(task.base)
-    return _Compiled(gt, [e for e, _, _ in _kept_edits(gt, space)])
+    kept = _kept_edits(gt, space)
+    return _Compiled(gt, [e for e, _, _ in kept], {e: cost for e, _, cost in kept})
 
 
 def _search(comp: _Compiled, budget: Budget):
     """The first `MAX_RETAINED_SOLUTIONS` minimal sound edit sets, in
     (cardinality, lexicographic) order (Reiter 1987; Liffiton et al. 2016,
-    MARCO). Returns (solutions, complete, stats), solutions a list of edit
-    frozensets in that order.
+    MARCO). Returns (solutions, complete, stats), solutions a list of
+    `RepairSolution`s in that order, each with the plan that solved it.
 
     A block is the complement of an unsound set, which every sound set
     meets. The kept edits whose atom is not in init are sorted, and for
@@ -155,11 +163,12 @@ def _search(comp: _Compiled, budget: Budget):
     atoms = [task.atom_index[e.atom] for e in walk]
     everything = (1 << len(walk)) - 1
     found: list[int] = []  # solved edit sets, as masks over `walk`
+    solutions: list[RepairSolution] = []
     blocks: list[int] = []
 
     def result(complete):
         stats.elapsed = time.monotonic() - start
-        return [frozenset(walk[j] for j in _bits(s)) for s in found], complete, stats
+        return solutions, complete, stats
 
     if check.relaxed_dead(init | _mask(atoms)):
         return result(True)
@@ -187,6 +196,9 @@ def _search(comp: _Compiled, budget: Budget):
                 blocks.append(everything & ~edset)
                 continue
             found.append(edset)
+            edits = frozenset(walk[j] for j in _bits(edset))
+            cost = math.fsum(comp.costs[e] for e in edits)
+            solutions.append(RepairSolution(edits, cost, witness=verdict.plan))
             if len(found) == MAX_RETAINED_SOLUTIONS:
                 return result(True)
         size += 1
@@ -348,7 +360,7 @@ def repair_min_cost(
                     "internal invariant violation: search returned an unsound repair"
                 )
             stats.elapsed = time.monotonic() - start
-            return RepairSolution(edits, cost, stats)
+            return RepairSolution(edits, cost, stats, verdict.plan)
         nxt = members[-1] + 1 if members else 0
         if nxt < len(walk):
             children = [members + (nxt,)] + ([members[:-1] + (nxt,)] if members else [])
@@ -378,16 +390,18 @@ def _limit_reached(stats: SearchStats, budget: Budget) -> str:
 
 def enumerate_solutions(
     task: RepairTask, space, budget: Budget | None = None
-) -> list[frozenset] | NoSolution:
+) -> list[RepairSolution] | NoSolution:
     """The first 20 minimal sound edit sets, ordered by (cardinality,
-    lexicographic), exactly (see `_search`). The budget bounds the edit
-    sets decided plus the planner expansions spent deciding them; when it
-    runs out the sets found so far come back, with a debug record naming
-    the limit, and none found is BUDGET_EXHAUSTED. Executability has one
-    minimal repair, found without search."""
+    lexicographic), exactly (see `_search`), as `RepairSolution`s: for
+    unsolvability each carries the plan that solved it as its witness. The
+    budget bounds the edit sets decided plus the planner expansions spent
+    deciding them; when it runs out the sets found so far come back, with
+    a debug record naming the limit, and none found is BUDGET_EXHAUSTED.
+    Executability has one minimal repair, found without search and with
+    no witness (its target plan is the proof)."""
     if task.use_case != UNSOLVABILITY:
         found = _executability_repair(task, space)
-        return found if isinstance(found, NoSolution) else [found.edits]
+        return found if isinstance(found, NoSolution) else [found]
     budget = budget or ENUM_BUDGET
     comp = _compile_edit_search(task, space)
     solutions, complete, stats = _search(comp, budget)

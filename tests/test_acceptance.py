@@ -223,10 +223,10 @@ def test_criterion_06_enumeration_contract(corpus):
         solutions = enumerate_solutions(task, space)
         assert isinstance(solutions, list) and solutions, inst.id
         for s in solutions:
-            assert verify_repair(task, s), (inst.id, s)
+            assert verify_repair(task, s.edits), (inst.id, s.edits)
         for a in solutions:
             for b in solutions:
-                assert a is b or not a < b, inst.id
+                assert a is b or not a.edits < b.edits, inst.id
         total += len(solutions)
     report(6, "enumeration contract", f"{total} edit sets across {len(by_kind)} domains")
 

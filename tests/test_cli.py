@@ -160,6 +160,37 @@ class TestRunAndReport:
         assert fig[0] == "instance_id,domain,pipeline,edit_size,plan_size,value"
         assert len(fig) == 3
 
+    @pytest.mark.parametrize("missing, message", [
+        ("sound", "record missing 'sound'"),
+        ("edit_size", "record missing 'edit_size'"),
+        (None, "record is not an object"),
+    ], ids=["sound", "edit_size", "not_an_object"])
+    def test_report_on_malformed_record_writes_nothing(
+        self, capsys, tmp_path, missing, message
+    ):
+        """A malformed record is one error line, exit 1, and no output
+        file, even when only the figure data needs the missing key."""
+        record = {
+            "instance_id": "i1", "domain": "travel", "pipeline": "llm_only",
+            "use_case": "unsolvability", "sound": True, "preferred": True,
+            "failure": None, "edit_size": 1, "plan_size": 3,
+        }
+        if missing is None:
+            record = [record]
+        else:
+            del record[missing]
+        records_path = tmp_path / "records.jsonl"
+        records_path.write_text(json.dumps(record) + "\n")
+        out_dir = tmp_path / "report"
+        code, stdout, stderr = run(
+            capsys, "report", "--records", str(records_path), "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {message}")
+        assert len(stderr.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_empty_bench_dir_errors(self, capsys, tmp_path):
         code, _, stderr = run(
             capsys, "run", "--bench", str(tmp_path), "--out",

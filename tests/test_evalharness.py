@@ -9,7 +9,6 @@ from modelspace import planner, repair
 from modelspace.edits import ADD_INIT, UNSOLVABILITY, ModelEdit, RepairTask
 from modelspace.evalharness import (
     SchemaError,
-    UnknownInstance,
     aggregate,
     emit_fig_data,
     judge_preferred,
@@ -115,10 +114,8 @@ class TestJudging:
         assert judge_preferred(good, fam, t2)
         assert not judge_preferred(teleport, fam, t2)
 
-    def test_empty_edit_set_preferred_only_without_need(self, t2):
-        fam = family_for("travel_services")
-        assert not judge_preferred(frozenset(), fam, t2, repair_needed=True)
-        assert judge_preferred(frozenset(), fam, t2, repair_needed=False)
+    def test_empty_edit_set_not_preferred(self, t2):
+        assert not judge_preferred(frozenset(), family_for("travel_services"), t2)
 
 
 class TestAggregate:
@@ -173,9 +170,9 @@ class TestAggregate:
         b = aggregate([rec()])
         assert a == b
 
-    def test_metadata_passthrough(self):
-        report = aggregate([rec()], metadata={"provider": "mock"})
-        assert report["metadata"] == {"provider": "mock"}
+    def test_metadata_is_empty(self):
+        """`report.json` keeps its `metadata` key, with nothing in it."""
+        assert aggregate([rec()])["metadata"] == {}
 
     def test_schema_enforced(self):
         with pytest.raises(SchemaError):
@@ -225,9 +222,10 @@ class TestFigData:
         assert up.strip().endswith(",1")
         assert down.strip().endswith(",-1")
 
-    def test_index_fallback(self):
-        records = [rec()]  # lacks edit_size/plan_size
-        csv_text = emit_fig_data(records, index={"i1": {"edit_size": 3, "plan_size": 7}})
-        assert csv_text.strip().splitlines()[1] == "i1,travel,llm_only,3,7,1"
-        with pytest.raises(UnknownInstance):
-            emit_fig_data(records, index={})
+    @pytest.mark.parametrize(
+        "sizes", [{}, {"edit_size": 3}, {"plan_size": 7}],
+        ids=["neither", "edit_size_only", "plan_size_only"],
+    )
+    def test_record_without_sizes_rejected(self, sizes):
+        with pytest.raises(SchemaError):
+            emit_fig_data([rec(**sizes)])

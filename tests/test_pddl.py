@@ -67,10 +67,18 @@ class TestParsing:
         with pytest.raises(PddlSyntaxError):
             parse_sexpr("(define (domain d)")
 
-    def test_syntax_error_carries_position(self):
+    @pytest.mark.parametrize("text, line, column", [
+        ("(a\n  ))", 2, 4),
+        ("(a ; ) )\n ) b)", 2, 4),
+        ("(a)\t\tb", 1, 6),
+        ("(a\r\n\r\n  b) c", 3, 6),
+    ], ids=["newline", "comment", "tab", "crlf"])
+    def test_syntax_error_carries_position(self, text, line, column):
+        """Columns count characters from 1, a tab or a carriage return as
+        one; a comment runs to the end of its line."""
         with pytest.raises(PddlSyntaxError) as exc:
-            parse_sexpr("(a\n  ))")
-        assert exc.value.line == 2
+            parse_sexpr(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
 
     @pytest.mark.parametrize("text", [
         "(define (domain d) (:requirements :strips :fluents))",

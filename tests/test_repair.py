@@ -141,10 +141,16 @@ def corpus_case(kind, seed):
     return task, space, brute_force_first_sets(task, space)
 
 
+def search_edits(comp, budget):
+    """`_search`'s solutions as edit sets, and whether it completed."""
+    solutions, complete, _ = _search(comp, budget)
+    return [s.edits for s in solutions], complete
+
+
 def assert_exact_prefix(task, space, budget, exact):
     """`_search` at `budget` returns a prefix of `exact`, and all of it when
     it reports complete. Returns whether it did."""
-    solutions, complete, _ = _search(_compile_edit_search(task, space), budget)
+    solutions, complete = search_edits(_compile_edit_search(task, space), budget)
     assert solutions == exact[:len(solutions)]
     if complete:
         assert solutions == exact
@@ -286,7 +292,7 @@ class TestEnumeration:
     def test_all_minimal_sets_found(self, t2):
         task = RepairTask(t2, UNSOLVABILITY)
         space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
-        sols = enumerate_solutions(task, space)
+        sols = [o.edits for o in enumerate_solutions(task, space)]
         oracle = brute_force_min_sets(task, space, max_size=1)
         # the three single-edit fixes are exactly the size-1 sound sets
         singles = [s for s in sols if len(s) == 1]
@@ -295,7 +301,7 @@ class TestEnumeration:
     def test_no_solution_is_superset_of_another(self, t2):
         task = RepairTask(t2, UNSOLVABILITY)
         space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
-        sols = enumerate_solutions(task, space)
+        sols = [o.edits for o in enumerate_solutions(task, space)]
         for a in sols:
             for b in sols:
                 assert a is b or not a < b
@@ -304,12 +310,12 @@ class TestEnumeration:
         task = RepairTask(t2, UNSOLVABILITY)
         space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
         for s in enumerate_solutions(task, space):
-            assert verify_repair(task, s)
+            assert verify_repair(task, s.edits)
 
     def test_retention_cap_and_order(self, t2):
         task = RepairTask(t2, UNSOLVABILITY)
         space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
-        sols = enumerate_solutions(task, space)
+        sols = [o.edits for o in enumerate_solutions(task, space)]
         assert len(sols) <= MAX_RETAINED_SOLUTIONS
         keys = [(len(s), sorted(str(e) for e in s)) for s in sols]
         assert keys == sorted(keys)
@@ -318,7 +324,7 @@ class TestEnumeration:
         plan = load_plan("d5_plan.txt")
         task = RepairTask(travel_exec_model, EXECUTABILITY, plan)
         space = build_edit_space(travel_exec_model, predicates={"has_bus"})
-        sols = enumerate_solutions(task, space)
+        sols = [o.edits for o in enumerate_solutions(task, space)]
         assert frozenset(
             {ModelEdit(ADD_INIT, GroundAtom("has_bus", ("city_b", "city_c")))}
         ) == sols[0]
@@ -350,12 +356,12 @@ class TestWideSpaces:
         assert complete and len(solutions) == MAX_RETAINED_SOLUTIONS
         assert (stats.expansions, stats.generated) == (expansions, generated)
         larger = Budget(10 * ENUM_BUDGET.max_expansions, ENUM_BUDGET.max_seconds)
-        assert _search(comp, larger)[:2] == (solutions, True)
+        assert search_edits(comp, larger) == ([s.edits for s in solutions], True)
 
     def test_enumerated_options_are_minimal_sound_ordered_and_capped(self):
         task, space = corpus_task("travel", 1, n_cities=7)
         assert len(_compile_edit_search(task, space).edits) > 64
-        options = enumerate_solutions(task, space)
+        options = [o.edits for o in enumerate_solutions(task, space)]
         assert len(options) == MAX_RETAINED_SOLUTIONS  # the cap binds here
         assert options == sorted(options, key=lambda s: (len(s), sorted(s)))
         for s in options:
@@ -437,6 +443,10 @@ class TestLazySearchIsExact:
         """Complete at the paper's budget, logistics too."""
         task, space, exact = corpus_case(kind, seed)
         assert exact and assert_exact_prefix(task, space, ENUM_BUDGET, exact)
+        for option in enumerate_solutions(task, space):
+            repaired = apply_edits(task.base, option.edits)
+            assert validate_plan(repaired, option.witness).valid
+            assert option.total_cost == len(option.edits)  # unit costs
 
     def test_no_edit_kept(self, t2):
         """Removals never pass the relevance filter, so the search runs with
@@ -467,7 +477,7 @@ class TestLazySearchIsExact:
         assert comp.edits == [a, b, p, q, s]
         exact = [frozenset({s}), frozenset({a, b}), frozenset({p, q})]
         assert brute_force_first_sets(task, [a, b, p, q, s]) == exact
-        assert _search(comp, Budget())[:2] == (exact, True)
+        assert search_edits(comp, Budget()) == (exact, True)
 
     def test_relaxed_alive_set_that_is_unsound(self, count_calls):
         """{+(r)} passes the relaxed test and `solve` refutes it, so its
@@ -476,7 +486,7 @@ class TestLazySearchIsExact:
         exact = [frozenset({g1, g2}), frozenset({g1, r}), frozenset({g2, r})]
         assert brute_force_first_sets(task, [r, g1, g2]) == exact
         solved = count_calls(planner.solve)
-        assert _search(_compile_edit_search(task, [r, g1, g2]), Budget())[:2] == (exact, True)
+        assert search_edits(_compile_edit_search(task, [r, g1, g2]), Budget()) == (exact, True)
         assert [solve(*call).status for call in solved] == [UNSOLVABLE] + [SOLVED] * 3
 
     @pytest.fixture(scope="class")
@@ -502,7 +512,7 @@ class TestLazySearchIsExact:
         space = build_edit_space(travel_exec_model, predicates={"has_bus", "has_taxi"})
         missing = missing_init_atoms(travel_exec_model, plan)
         expected = [frozenset(ModelEdit(ADD_INIT, atom) for atom in missing)]
-        assert _search(_compile_edit_search(task, space), Budget())[:2] == (expected, True)
+        assert search_edits(_compile_edit_search(task, space), Budget()) == (expected, True)
 
 
 class TestSuccessorIndex:
@@ -524,7 +534,7 @@ class TestSuccessorIndex:
             if act in candidates(at_a) or act in candidates(at_b)
         ]
         assert set(candidates(at_a)) < set(merged) > set(candidates(at_b))
-        solutions = _search(comp, ENUM_BUDGET)[0]
+        solutions = search_edits(comp, ENUM_BUDGET)[0]
         assert [sorted(map(str, s)) for s in solutions] == T2_SETS
 
     def test_action_without_preconditions_is_always_a_candidate(self):
@@ -545,7 +555,7 @@ class TestSuccessorIndex:
         _, candidates = _successor_index(comp.task.actions)
         assert candidates(0) == [(0, switch.add, ~switch.dele, switch)]
         key = ModelEdit(ADD_INIT, GroundAtom("key", ()))
-        assert _search(comp, Budget())[:2] == ([frozenset({key})], True)
+        assert search_edits(comp, Budget()) == ([frozenset({key})], True)
 
     def test_add_edit_already_in_init(self, t2):
         """An addition of a true atom changes no state and is never part of
@@ -556,7 +566,7 @@ class TestSuccessorIndex:
         assert present.atom in t2.problem.init
         comp = _compile_edit_search(task, [present, fix])
         assert comp.edits == [present, fix]
-        assert _search(comp, Budget())[:2] == ([frozenset({fix})], True)
+        assert search_edits(comp, Budget()) == ([frozenset({fix})], True)
 
 
 class TestSearchIsExact:
@@ -642,7 +652,7 @@ class TestExecutabilityClosedForm:
         assert needed and needed <= set(space)
         valid = brute_force_valid_sets(task.base, task.target_plan, space)
         assert [s for s in valid if not any(o < s for o in valid)] == [needed]
-        assert enumerate_solutions(task, space) == [needed]
+        assert [o.edits for o in enumerate_solutions(task, space)] == [needed]
         ranked = assign_rank_costs(space)
         sol = repair_min_cost(task, ranked)
         assert sol.edits == needed
@@ -675,7 +685,7 @@ class TestExecutabilityClosedForm:
         )
         task = RepairTask(solvable, EXECUTABILITY, inst.target_plan)
         assert missing_init_atoms(solvable, inst.target_plan) == frozenset()
-        assert enumerate_solutions(task, space) == [frozenset()]
+        assert [o.edits for o in enumerate_solutions(task, space)] == [frozenset()]
         sol = repair_min_cost(task, assign_rank_costs(space))
         assert (sol.edits, sol.total_cost) == (frozenset(), 0.0)
 

@@ -1,6 +1,8 @@
 """Batch runner over generated instances, with the instance-aware mock
 provider standing in for a real LLM."""
 
+import logging
+
 import pytest
 
 from modelspace import pipelines, planner, repair
@@ -8,6 +10,7 @@ from modelspace.benchgen import make_instance
 from modelspace.edits import ADD_INIT
 from modelspace.llm import ProviderConfig
 from modelspace.oracle import OracleProvider
+from modelspace.planner import Plan
 from modelspace.runner import (
     RECORD_SCHEMA,
     default_edit_space,
@@ -112,6 +115,42 @@ class TestRunInstance:
         )
         assert record["sound"] is True
         assert (len(grounded), len(solved)) == (1, 1)
+
+    def test_post_processor_grounds_once(self, travel_inst, count_calls):
+        """The chosen option carries the plan enumeration solved it with,
+        so its re-verification grounds nothing."""
+        grounded = count_calls(repair.ground_task)
+        record = run_instance(
+            travel_inst, "post_processor", "unsolvability",
+            OracleProvider(travel_inst), CFG,
+        )
+        assert record["sound"] is True
+        assert len(grounded) == 1
+
+    def test_post_processor_corrupted_witness_checked_afresh(
+        self, travel_inst, monkeypatch, caplog, count_calls
+    ):
+        """An option whose witness does not solve its repaired model is
+        still judged, by a fresh check, and the rejection is logged."""
+        real_enumerate = pipelines.enumerate_solutions
+
+        def corrupting(*args, **kwargs):
+            options = real_enumerate(*args, **kwargs)
+            for option in options:
+                option.witness = Plan(option.witness.steps[1:])
+            return options
+
+        monkeypatch.setattr(pipelines, "enumerate_solutions", corrupting)
+        grounded = count_calls(repair.ground_task)
+        with caplog.at_level(logging.WARNING, logger="modelspace.repair"):
+            record = run_instance(
+                travel_inst, "post_processor", "unsolvability",
+                OracleProvider(travel_inst), CFG,
+            )
+        assert record["sound"] is True
+        assert len(grounded) == 2  # enumeration's, then the fresh check's
+        [warning] = caplog.records
+        assert warning.getMessage().startswith("witness plan rejected")
 
     def test_soundness_rejudged_independently(self, travel_inst):
         """A provider that replies with prose produces a failed record, not a
