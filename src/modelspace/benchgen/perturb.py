@@ -2,8 +2,12 @@
 minimal repair, by deleting 1-4 reasonable initial-state facts from a
 solvable model.
 
-The model is validated, grounded and solved once per instance. A
-perturbation changes only the init, so one `SolvabilityCheck` of that one
+The model is validated, grounded and solved once per instance. The solve
+is breadth-first, so the target plan is a shortest one, over the task that
+the model's `SolvabilityCheck` restricts to the relevant actions its
+relaxed pass reaches from init: no shortest plan of the model uses an
+action left out, and a search over fewer actions is cheaper. A
+perturbation changes only the init, so the same check of that one
 grounding proves each perturbation unsolvable from its init's mask.
 Restoring the deleted facts gives back a superset of the model's init, so
 under positive preconditions and goals the model's plan, the instance's
@@ -73,10 +77,11 @@ def perturb_unsolvable(
     rng = random.Random(f"perturb:{domain_kind}:{seed}:{k}")
     model.validate()
     gt = ground_task(model)
-    plan = solve(gt).plan
+    check = SolvabilityCheck(gt)
+    restricted = check.restricted(gt.init)
+    plan = solve(restricted).plan if restricted is not None else None
     if plan is None:
         raise InvariantViolation("solvable original did not solve")
-    check = SolvabilityCheck(gt)
     for _ in range(max_tries):
         chosen = frozenset(rng.sample(candidates, k))
         perturbed = model.with_init(_perturb_init(model, chosen, family.family_id, rng))

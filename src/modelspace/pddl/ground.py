@@ -3,14 +3,21 @@
 A ground task is in the one format every search reads: each state, and each
 action's precondition, add and delete lists, is an int bitmask with bit i
 set for atom ``atoms[i]``, built here once per grounding (`_mask` and
-`_bits` convert to and from index lists)."""
+`_bits` convert to and from index lists).
+
+Each action schema is compiled once (`_compile`), as the schema
+instantiation of Fast Downward's translator does (Helmert 2009): its
+constants are checked and its lifted atoms turned into key getters before
+any binding, so a binding costs one dict lookup per atom and no
+per-argument work."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .errors import GroundingBlowup, UnknownObject
-from .model import DomainModel, GroundAtom, Model
+from .model import ActionSchema, DomainModel, GroundAtom, Model
 
 DEFAULT_GROUNDING_CAP = 10**6
 
@@ -62,45 +69,38 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
 
     atoms = enumerate_ground_atoms(model)
     atom_index = {a: i for i, a in enumerate(atoms)}
-    # keyed on plain tuples: their hashing and equality run in C, where a
-    # GroundAtom key goes through the dataclass __hash__ and __eq__
-    index_of = {(a.predicate, a.args): i for i, a in enumerate(atoms)}
+    # keyed on flat (predicate, *args) tuples: their hashing and equality
+    # run in C, where a GroundAtom key goes through the dataclass __hash__
+    # and __eq__
+    bit = {(a.predicate, *a.args): 1 << i for i, a in enumerate(atoms)}
 
     actions: list[GroundAction] = []
     for schema in domain.actions:
-        names = [v for v, _ in schema.parameters]
         pools = [by_type[t] for _, t in schema.parameters]
         count = 1
         for pool in pools:
             count *= len(pool)
         if len(actions) + count > cap:
             raise GroundingBlowup(f"ground action universe exceeds cap of {cap}")
+        if not count:
+            # a schema with no binding raises nothing, not even for an
+            # unknown constant
+            continue
+        (pre, pre_keys), (add, add_keys), (dele, dele_keys), tail = _compile(
+            schema, problem.objects, bit
+        )
+        name = schema.name
         for combo in product(*pools):
-            binding = dict(zip(names, combo))
-
-            def inst(lifted) -> int:
-                out = 0
-                for atom in lifted:
-                    args = []
-                    for a in atom.args:
-                        if a.startswith("?"):
-                            args.append(binding[a])
-                        elif a in problem.objects:
-                            args.append(a)
-                        else:
-                            raise UnknownObject(f"constant '{a}' in action '{schema.name}'")
-                    out |= 1 << index_of[atom.predicate, tuple(args)]
-                return out
-
-            actions.append(
-                GroundAction(
-                    schema.name,
-                    combo,
-                    pre=inst(schema.preconditions),
-                    add=inst(schema.add_effects),
-                    dele=inst(schema.del_effects),
-                )
-            )
+            full = combo + tail
+            p, a, d = pre, add, dele
+            for key in pre_keys:
+                p |= bit[key(full)]
+            for key in add_keys:
+                a |= bit[key(full)]
+            for key in dele_keys:
+                d |= bit[key(full)]
+            actions.append(GroundAction(name, combo, p, a, d))
+    # each schema's bindings come out in order; schemas need not be
     actions.sort(key=lambda a: (a.name, a.args))
 
     return GroundTask(
@@ -110,6 +110,41 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
         init=_mask(atom_index[a] for a in problem.init),
         goal=_mask(atom_index[a] for a in problem.goal),
     )
+
+
+def _compile(schema: ActionSchema, objects: dict[str, str], bit: dict):
+    """Compile a schema's precondition, add and delete lists once, for
+    every binding: returns a (fixed, keys) pair per list and a `tail` of
+    names. A binding ``combo`` (one object per parameter) is extended to
+    ``combo + tail``; each key in `keys` is an `itemgetter` that picks an
+    atom's flat ``(predicate, *args)`` key from that tuple, the predicate
+    and constants from `tail` and the rest from `combo`. An atom with no
+    variable is looked up here, once, into the list's `fixed` mask.
+    Raises UnknownObject for a constant that names no object."""
+    params = {var: i for i, (var, _) in enumerate(schema.parameters)}
+    tail: dict[str, int] = {}  # name -> its position in combo + tail
+
+    def at(name: str) -> int:
+        return tail.setdefault(name, len(schema.parameters) + len(tail))
+
+    def where(arg: str) -> int:
+        if arg.startswith("?"):
+            return params[arg]
+        if arg not in objects:
+            raise UnknownObject(f"constant '{arg}' in action '{schema.name}'")
+        return at(arg)
+
+    lists = []
+    for lifted in (schema.preconditions, schema.add_effects, schema.del_effects):
+        fixed, keys = 0, []
+        for atom in lifted:
+            positions = [where(arg) for arg in atom.args]
+            if any(arg.startswith("?") for arg in atom.args):
+                keys.append(itemgetter(at(atom.predicate), *positions))
+            else:
+                fixed |= bit[(atom.predicate, *atom.args)]
+        lists.append((fixed, keys))
+    return *lists, tuple(tail)
 
 
 def _mask(indices) -> int:

@@ -21,7 +21,8 @@ backward relevance to the goal and the goal's delete-relaxed reachability,
 both over the same masks, and searches greedily: soundness needs only some
 plan, which `validate_plan` then checks. It also grows a relaxed-dead state
 to a maximal relaxed-dead one, for enumeration. Target plans keep
-breadth-first search.
+breadth-first search, over the task the check restricts: the relevant
+actions its relaxed pass reaches from the model's init.
 """
 from __future__ import annotations
 
@@ -237,8 +238,9 @@ class SolvabilityCheck:
     """Is `task` solvable from a state, an int bitmask over atom indices?
     UNSOLVABLE with no search when `relaxed_reach` over the
     `relevant_actions` (found once per check) misses a goal atom, else the
-    verdict of greedy `solve` over the relevant actions that pass reached:
-    its plan is valid, not always the shortest."""
+    verdict of greedy `solve` over the `restricted` task, the relevant
+    actions that pass reached: its plan is valid, not always the shortest.
+    Set-up's target plans search the same restricted task breadth-first."""
 
     def __init__(self, task: GroundTask):
         self.task = task
@@ -290,16 +292,24 @@ class SolvabilityCheck:
                 kept.append(pos)
         return kept
 
-    def __call__(self, state: int | None = None, budget: Budget | None = None) -> SolveVerdict:
-        """The verdict from `state`, or from the task's init when None."""
+    def restricted(self, state: int) -> GroundTask | None:
+        """The task from `state` over the relevant actions that
+        `relaxed_reach` fires from it, in task order; None when that pass
+        misses a goal atom, which proves `state` unsolvable. An action it
+        leaves out is irrelevant or never applicable from `state`, so the
+        restricted task has the same solvability."""
         task = self.task
-        if state is None:
-            state = task.init
         reached, fired = relaxed_reach(self.masks, state)
         if self.goal & reached != self.goal:
-            return SolveVerdict(UNSOLVABLE)
+            return None
         actions = tuple(task.actions[self.relevant[j]] for j in fired)
-        restricted = GroundTask(task.atoms, task.atom_index, actions, state, task.goal)
+        return GroundTask(task.atoms, task.atom_index, actions, state, task.goal)
+
+    def __call__(self, state: int | None = None, budget: Budget | None = None) -> SolveVerdict:
+        """The verdict from `state`, or from the task's init when None."""
+        restricted = self.restricted(self.task.init if state is None else state)
+        if restricted is None:
+            return SolveVerdict(UNSOLVABLE)
         return solve(restricted, budget, greedy=True)
 
 

@@ -114,10 +114,17 @@ def write_records_jsonl(records, path: str | Path) -> None:
 
 
 def read_records_jsonl(path: str | Path) -> list[dict]:
+    """The records of a JSONL file, one per non-blank line; a line that is
+    not JSON raises ValueError naming the file and the line."""
     out = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            out.append(json.loads(line))
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc.msg}") from None
+        out.append(record)
     return out
 
 

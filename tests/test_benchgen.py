@@ -282,6 +282,14 @@ class TestCorpus:
         assert (len(grounded), len(solved), len(checked)) == (1, 1, 1)
         assert verify_instance(inst)
 
+    def test_instance_setup_solves_the_restricted_task(self, count_calls):
+        """The target plan's search runs over the relevant actions the
+        check reaches from init, fewer than the grounding holds."""
+        solved = count_calls(solve)
+        inst = make_instance(BARMAN_SIMPLE, seed=2)
+        [(task,)] = solved
+        assert len(task.actions) < len(ground_task(inst.solvable).actions)
+
     def test_fixed_k_respected(self):
         insts = generate_corpus([TRAVEL], 3, seed=1, k=2)
         assert all(i.k == 2 for i in insts)

@@ -191,6 +191,25 @@ class TestRunAndReport:
         assert len(stderr.splitlines()) == 1
         assert not out_dir.exists()
 
+    def test_report_on_malformed_json_names_file_and_line(self, capsys, tmp_path):
+        record = {
+            "instance_id": "i1", "domain": "travel", "pipeline": "llm_only",
+            "use_case": "unsolvability", "sound": True, "preferred": True,
+            "failure": None, "edit_size": 1, "plan_size": 3,
+        }
+        records_path = tmp_path / "records.jsonl"
+        records_path.write_text(json.dumps(record) + "\n\n{oops\n")
+        out_dir = tmp_path / "report"
+        code, stdout, stderr = run(
+            capsys, "report", "--records", str(records_path), "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            f"error: {records_path}:3: Expecting property name enclosed in double quotes\n"
+        )
+        assert not out_dir.exists()
+
     def test_empty_bench_dir_errors(self, capsys, tmp_path):
         code, _, stderr = run(
             capsys, "run", "--bench", str(tmp_path), "--out",

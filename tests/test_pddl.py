@@ -1,8 +1,15 @@
-"""Parser, renderer, and grounding behavior on hand-checked inputs."""
+"""Parser, renderer, and grounding behavior on hand-checked inputs.
+
+Grounding is cross-checked against `reference_ground_task`, which
+instantiates every atom of every binding with no per-schema compilation."""
+
+from itertools import product
 
 import pytest
 
-from conftest import GOLDEN, fixture_text, load_model
+from conftest import GOLDEN, SIZES, fixture_text, load_model
+from modelspace.benchgen import ALL_KINDS, NOVEL_KINDS
+from modelspace.benchgen.corpus import generate_corpus
 from modelspace.pddl import (
     Atom,
     GroundAtom,
@@ -21,6 +28,13 @@ from modelspace.pddl import (
     render_domain,
     render_plan,
     render_problem,
+)
+from modelspace.pddl.ground import (
+    DEFAULT_GROUNDING_CAP,
+    GroundAction,
+    GroundTask,
+    _mask,
+    _objects_by_type,
 )
 
 
@@ -219,6 +233,147 @@ class TestGrounding:
         n = len(gt.atoms)
         for act in gt.actions:
             assert act.pre | act.add | act.dele < 1 << n
+
+
+def reference_ground_task(model, cap=DEFAULT_GROUNDING_CAP):
+    """Reference for `ground_task`: resolves every lifted atom of every
+    binding through a fresh binding dict, with no per-schema compilation."""
+    domain, problem = model.domain, model.problem
+    by_type = _objects_by_type(domain, problem.objects)
+    total = 0
+    for types in domain.predicates.values():
+        count = 1
+        for t in types:
+            count *= len(by_type[t])
+        total += count
+        if total > cap:
+            raise GroundingBlowup(f"ground atom universe exceeds cap of {cap}")
+    atoms = enumerate_ground_atoms(model)
+    atom_index = {a: i for i, a in enumerate(atoms)}
+    actions = []
+    for schema in domain.actions:
+        names = [v for v, _ in schema.parameters]
+        pools = [by_type[t] for _, t in schema.parameters]
+        count = 1
+        for pool in pools:
+            count *= len(pool)
+        if len(actions) + count > cap:
+            raise GroundingBlowup(f"ground action universe exceeds cap of {cap}")
+        for combo in product(*pools):
+            binding = dict(zip(names, combo))
+
+            def inst(lifted):
+                out = 0
+                for atom in lifted:
+                    args = []
+                    for a in atom.args:
+                        if a.startswith("?"):
+                            args.append(binding[a])
+                        elif a in problem.objects:
+                            args.append(a)
+                        else:
+                            raise UnknownObject(f"constant '{a}' in action '{schema.name}'")
+                    out |= 1 << atom_index[GroundAtom(atom.predicate, tuple(args))]
+                return out
+
+            actions.append(GroundAction(
+                schema.name, combo, pre=inst(schema.preconditions),
+                add=inst(schema.add_effects), dele=inst(schema.del_effects),
+            ))
+    actions.sort(key=lambda a: (a.name, a.args))
+    return GroundTask(
+        atoms=tuple(atoms),
+        atom_index=atom_index,
+        actions=tuple(actions),
+        init=_mask(atom_index[a] for a in problem.init),
+        goal=_mask(atom_index[a] for a in problem.goal),
+    )
+
+
+# a constant in action atoms, a subtype-typed parameter, and a schema with a
+# constant no problem names behind an empty parameter pool
+DEPOT = """(define (domain depot) (:requirements :strips :typing)
+  (:types vehicle crate - object truck - vehicle drone - vehicle)
+  (:predicates (at ?v - vehicle ?c - crate) (home ?c - crate) (fuelled ?d - drone))
+  (:action fetch :parameters (?t - truck ?c - crate)
+    :precondition (and (home ?c) (home depot))
+    :effect (and (at ?t ?c) (not (home ?c))))
+  (:action park :parameters (?v - vehicle)
+    :precondition (home depot) :effect (at ?v depot))
+  (:action hover :parameters (?d - drone)
+    :precondition (fuelled ?d) :effect (at ?d nowhere)))"""
+
+
+def depot_model(objects="t1 t2 t3 - truck depot c1 - crate", init="(home c1) (home depot)"):
+    domain = parse_domain(DEPOT)
+    problem = parse_problem(
+        f"(define (problem p) (:domain depot) (:objects {objects}) (:init {init})"
+        " (:goal (at t1 c1)))",
+        domain,
+    )
+    return Model(domain, problem)
+
+
+class TestGroundingReference:
+    """`ground_task` against `reference_ground_task`: equal `GroundTask`s,
+    field for field, and the same errors."""
+
+    def test_fixtures(self, travel_model, travel_exec_model, barman_model, cleaning_model, t2):
+        for model in (travel_model, travel_exec_model, barman_model, cleaning_model, t2):
+            assert ground_task(model) == reference_ground_task(model)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bench_corpora(self, kind, seed):
+        """Twelve instances of `kind` at the oracle benchmark's size, drawn
+        as its workload `seed` draws them."""
+        for inst in generate_corpus([kind], 12, seed=seed * 1000, **SIZES[kind]):
+            for model in (inst.solvable, inst.perturbed):
+                assert ground_task(model) == reference_ground_task(model)
+
+    def test_novel_corpus(self):
+        for inst in generate_corpus(NOVEL_KINDS, 10, seed=0):
+            for model in (inst.solvable, inst.perturbed):
+                assert ground_task(model) == reference_ground_task(model)
+
+    def test_constants_and_subtypes(self):
+        """`depot` (a crate) resolves to itself in `fetch` and `park`, and
+        `park`'s vehicle parameter ranges over the trucks; `hover`'s
+        unknown constant raises nothing, as no drone binds it."""
+        model = depot_model()
+        gt = ground_task(model)
+        assert gt == reference_ground_task(model)
+        assert [(a.name, a.args) for a in gt.actions] == [
+            ("fetch", ("t1", "c1")), ("fetch", ("t1", "depot")),
+            ("fetch", ("t2", "c1")), ("fetch", ("t2", "depot")),
+            ("fetch", ("t3", "c1")), ("fetch", ("t3", "depot")),
+            ("park", ("t1",)), ("park", ("t2",)), ("park", ("t3",)),
+        ]
+        park = gt.actions[6]
+        assert park.pre == 1 << gt.atom_index[GroundAtom("home", ("depot",))]
+        assert park.add == 1 << gt.atom_index[GroundAtom("at", ("t1", "depot"))]
+
+    def test_unknown_constant_of_a_bound_schema(self):
+        model = depot_model(objects="t1 - truck d1 - drone depot c1 - crate")
+        for ground in (ground_task, reference_ground_task):
+            with pytest.raises(UnknownObject, match="constant 'nowhere' in action 'hover'"):
+                ground(model)
+
+    @pytest.mark.parametrize("cap, blowup", [
+        (7, "ground atom universe exceeds cap of 7"),
+        (8, "ground action universe exceeds cap of 8"),
+        (9, None),
+    ])
+    def test_cap_checks(self, cap, blowup):
+        """`depot_model` has 8 ground atoms (6 at, 2 home, no fuelled)
+        and 9 ground actions (6 fetch, 3 park)."""
+        model = depot_model()
+        for ground in (ground_task, reference_ground_task):
+            if blowup is None:
+                assert len(ground(model, cap=cap).actions) == 9
+            else:
+                with pytest.raises(GroundingBlowup, match=blowup):
+                    ground(model, cap=cap)
 
 
 class TestModelOps:
