@@ -6,9 +6,11 @@ class PddlError(Exception):
 
 
 class PddlSyntaxError(PddlError):
-    """Malformed s-expression input. Carries the 1-based line/column."""
+    """Malformed s-expression input. Carries the 1-based line/column, and
+    as `reason` the message without them."""
 
     def __init__(self, message, line=None, column=None):
+        self.reason = message
         self.line = line
         self.column = column
         if line is not None:

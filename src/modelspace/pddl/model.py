@@ -113,10 +113,17 @@ class DomainModel:
                 raise ArityMismatch(
                     f"atom {atom} in action '{schema.name}': expected {len(decl)} args"
                 )
-            for arg in atom.args:
-                if arg.startswith("?") and arg not in params:
+            for arg, want in zip(atom.args, decl):
+                if not arg.startswith("?"):
+                    continue
+                if arg not in params:
                     raise PddlError(
                         f"atom {atom} in action '{schema.name}' uses unbound variable {arg}"
+                    )
+                if not self.is_subtype(params[arg], want):
+                    raise TypeMismatch(
+                        f"atom {atom} in action '{schema.name}': {arg} has type"
+                        f" '{params[arg]}', expected '{want}'"
                     )
 
 

@@ -4,6 +4,13 @@ Accepted surface: typed object/variable lists, positive conjunctive
 preconditions and goals, add/delete effects. Anything else raises
 UnsupportedFeature. Identifiers are case-insensitive and normalized to
 lowercase.
+
+Text is read in one pass: one `re.findall` gives plain lowercase string
+tokens and one loop with an explicit stack (`_read`) builds the tree, so
+nothing on the way carries a source position. Positions are found only
+when an error is raised: a PddlSyntaxError sends the same text through
+`_tokenize`, whose tokens carry their line and column, and the same
+reader and semantic code, which raise the same error with its position.
 """
 from __future__ import annotations
 
@@ -28,12 +35,25 @@ class _Token(str):
     column = 0
 
 
-# a newline, a parenthesis, a comment or an identifier; only spaces, tabs and
-# carriage returns are skipped (\x0b or \xa0 belongs to an identifier)
+# a parenthesis or an identifier; only spaces, tabs, carriage returns and
+# newlines separate tokens (\x0b or \xa0 belongs to an identifier)
+_PLAIN_RE = re.compile(r"[()]|[^ \t\r\n();]+")
+_COMMENT_RE = re.compile(r";[^\n]*")
+# the same tokens, plus the newlines `_tokenize` counts lines by and the
+# comments it skips
 _TOKEN_RE = re.compile(r"\n|[()]|;[^\n]*|[^ \t\r\n();]+")
 
 
+def _plain_tokens(text: str) -> list[str]:
+    """The lowercase tokens of `text`, with no positions. Lowering the whole
+    text lowers each token as lowering it alone would: no lowercase is a
+    separator, and no separator is cased or case-ignorable, so a final
+    sigma is decided within its token."""
+    return _PLAIN_RE.findall(_COMMENT_RE.sub("", text).lower())
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `_plain_tokens`, each with its 1-based line and column."""
     tokens: list[_Token] = []
     line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
@@ -48,34 +68,66 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _read_sexpr(tokens: list[_Token], pos: int):
-    """Return (tree, next_pos). Trees are nested lists of tokens."""
-    if pos >= len(tokens):
-        raise PddlSyntaxError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_sexpr(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise PddlSyntaxError("unbalanced '('", tok.line, tok.column)
-        return items, pos + 1
-    if tok == ")":
-        raise PddlSyntaxError("unexpected ')'", tok.line, tok.column)
-    return tok, pos + 1
+def _read(tokens: list[str]):
+    """The one s-expression `tokens` spell, as nested lists of tokens.
+
+    `tree` is the innermost open list and `stack` holds the lists around
+    it, outermost first."""
+    it = iter(tokens)
+    tree = next(it, None)
+    if tree is None:
+        raise PddlSyntaxError("empty input")
+    if tree == ")":
+        raise _err(tree, "unexpected ')'")
+    if tree == "(":
+        stack: list[list] = []
+        tree = []
+        for tok in it:
+            if tok == "(":
+                stack.append(tree)
+                tree = []
+            elif tok == ")":
+                if not stack:
+                    break
+                stack[-1].append(tree)
+                tree = stack.pop()
+            else:
+                tree.append(tok)
+        else:
+            raise _err(_innermost_open(tokens), "unbalanced '('")
+    extra = next(it, None)
+    if extra is not None:
+        raise _err(extra, "trailing input after expression")
+    return tree
+
+
+def _innermost_open(tokens: list[str]) -> str:
+    """The last '(' in `tokens` that no ')' closes."""
+    depth = 0
+    for tok in reversed(tokens):
+        if tok == ")":
+            depth += 1
+        elif tok == "(":
+            if not depth:
+                return tok
+            depth -= 1
+
+
+def _parse(text: str, build, *args):
+    """`build(tree, *args)` for the tree `text` spells.
+
+    The first read has no positions. If it raises a PddlSyntaxError, the
+    text is read again into positioned tokens and built by the same code,
+    which raises the same error with its line and column."""
+    try:
+        return build(_read(_plain_tokens(text)), *args)
+    except PddlSyntaxError:
+        pass
+    return build(_read(_tokenize(text)), *args)
 
 
 def parse_sexpr(text: str):
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PddlSyntaxError("empty input")
-    tree, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise PddlSyntaxError("trailing input after expression", extra.line, extra.column)
-    return tree
+    return _parse(text, lambda tree: tree)
 
 
 def _err(node, message: str) -> PddlSyntaxError:
@@ -102,7 +154,7 @@ def _parse_typed_list(items) -> list[tuple[str, str]]:
         if tok == "-":
             if i + 1 >= len(items) or isinstance(items[i + 1], list):
                 raise _err(tok, "missing type after '-'")
-            t = str(items[i + 1])
+            t = items[i + 1]
             out.extend((name, t) for name in pending)
             pending = []
             i += 2
@@ -111,7 +163,7 @@ def _parse_typed_list(items) -> list[tuple[str, str]]:
             pending = []
             i += 1
         else:
-            pending.append(str(tok))
+            pending.append(tok)
             i += 1
     out.extend((name, ROOT_TYPE) for name in pending)
     return out
@@ -120,7 +172,7 @@ def _parse_typed_list(items) -> list[tuple[str, str]]:
 def _parse_atom(node) -> Atom:
     if not isinstance(node, list) or not node or any(isinstance(x, list) for x in node):
         raise _err(node, "expected an atom '(predicate args...)'")
-    return Atom(str(node[0]), tuple(str(a) for a in node[1:]))
+    return Atom(node[0], tuple(node[1:]))
 
 
 def _parse_conjunction(node, what: str) -> list:
@@ -145,13 +197,16 @@ def _check_supported(node, context: str) -> None:
 
 
 def parse_domain(text: str) -> DomainModel:
-    tree = parse_sexpr(text)
+    return _parse(text, _domain)
+
+
+def _domain(tree) -> DomainModel:
     if not isinstance(tree, list) or len(tree) < 2 or tree[0] != "define":
         raise _err(tree, "expected '(define (domain ...) ...)'")
     head = tree[1]
     if not isinstance(head, list) or len(head) != 2 or head[0] != "domain":
         raise _err(head, "expected '(domain name)'")
-    name = str(head[1])
+    name = head[1]
 
     hierarchy: dict[str, str | None] = {ROOT_TYPE: None}
     predicates: dict[str, tuple[str, ...]] = {}
@@ -176,7 +231,7 @@ def parse_domain(text: str) -> DomainModel:
             for decl in section[1:]:
                 if not isinstance(decl, list) or not decl:
                     raise _err(decl, "expected a predicate declaration")
-                pname = str(decl[0])
+                pname = decl[0]
                 if pname in predicates:
                     raise _err(decl, f"duplicate predicate '{pname}'")
                 predicates[pname] = tuple(t for _, t in _parse_typed_list(decl[1:]))
@@ -193,7 +248,7 @@ def parse_domain(text: str) -> DomainModel:
 def _parse_action(section) -> ActionSchema:
     if len(section) < 2 or isinstance(section[1], list):
         raise _err(section, "expected action name")
-    name = str(section[1])
+    name = section[1]
     fields = {}
     i = 2
     while i < len(section):
@@ -202,7 +257,7 @@ def _parse_action(section) -> ActionSchema:
             raise _err(key, "expected an action keyword")
         if i + 1 >= len(section):
             raise _err(key, f"missing value for '{key}'")
-        fields[str(key)] = section[i + 1]
+        fields[key] = section[i + 1]
         i += 2
     if ":parameters" not in fields:
         raise _err(section, f"action '{name}' has no :parameters")
@@ -229,13 +284,16 @@ def _parse_action(section) -> ActionSchema:
 
 
 def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
-    tree = parse_sexpr(text)
+    return _parse(text, _problem, domain)
+
+
+def _problem(tree, domain: DomainModel) -> ProblemModel:
     if not isinstance(tree, list) or len(tree) < 2 or tree[0] != "define":
         raise _err(tree, "expected '(define (problem ...) ...)'")
     head = tree[1]
     if not isinstance(head, list) or len(head) != 2 or head[0] != "problem":
         raise _err(head, "expected '(problem name)'")
-    name = str(head[1])
+    name = head[1]
 
     domain_name = domain.name
     objects: dict[str, str] = {}
@@ -247,7 +305,7 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
             raise _err(section, "expected a problem section")
         key = section[0]
         if key == ":domain":
-            domain_name = str(section[1])
+            domain_name = section[1]
         elif key == ":objects":
             for obj, t in _parse_typed_list(section[1:]):
                 objects[obj] = t
@@ -273,13 +331,23 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
 
 def parse_plan_text(text: str) -> list[tuple[str, tuple[str, ...]]]:
     """Parse a VAL-style plan file: one '(action args...)' per line,
-    ';'-prefixed comment lines ignored."""
+    ';'-prefixed comment lines ignored. A syntax error names the line of
+    `text` (as `str.splitlines` counts them) and the column within it."""
     steps: list[tuple[str, tuple[str, ...]]] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith(";"):
             continue
-        tree = parse_sexpr(line)
-        atom = _parse_atom(tree)
-        steps.append((atom.predicate, atom.args))
+        try:
+            steps.append(_parse(line, _plan_step))
+        except PddlSyntaxError as exc:
+            if exc.line is None:
+                raise
+            indent = len(raw) - len(raw.lstrip())
+            raise PddlSyntaxError(exc.reason, number, exc.column + indent) from None
     return steps
+
+
+def _plan_step(tree) -> tuple[str, tuple[str, ...]]:
+    atom = _parse_atom(tree)
+    return atom.predicate, atom.args

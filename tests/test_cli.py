@@ -281,6 +281,32 @@ class TestErrorHandling:
         )
         assert code == 1
 
+    def test_ill_typed_action_atom_exit_1(self, capsys, tmp_path):
+        """`go`'s truck parameter fills `home`'s crate place: one error line
+        naming the action, the atom and the variable, not a traceback."""
+        domain = tmp_path / "domain.pddl"
+        domain.write_text(
+            "(define (domain depot) (:requirements :strips :typing)"
+            " (:types truck crate)"
+            " (:predicates (home ?c - crate) (moved ?t - truck))"
+            " (:action go :parameters (?t - truck)"
+            " :precondition (home ?t) :effect (moved ?t)))"
+        )
+        problem = tmp_path / "problem.pddl"
+        problem.write_text(
+            "(define (problem p) (:domain depot) (:objects t1 - truck c1 - crate)"
+            " (:init (home c1)) (:goal (moved t1)))"
+        )
+        code, stdout, stderr = run(
+            capsys, "repair", "--domain", str(domain), "--problem", str(problem),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "error: atom (home ?t) in action 'go': ?t has type 'truck',"
+            " expected 'crate'\n"
+        )
+
 
 class TestConfig:
     def test_read_config(self, tmp_path):

@@ -1,13 +1,18 @@
 """Parser, renderer, and grounding behavior on hand-checked inputs.
 
-Grounding is cross-checked against `reference_ground_task`, which
-instantiates every atom of every binding with no per-schema compilation."""
+The s-expression reader is cross-checked against `reference_parse_sexpr`,
+which gives every token its position and reads by recursion. Grounding is
+cross-checked against `reference_ground_task`, which instantiates every
+atom of every binding with no per-schema compilation."""
 
+import random
+import re
+import sys
 from itertools import product
 
 import pytest
 
-from conftest import GOLDEN, SIZES, fixture_text, load_model
+from conftest import FIXTURES, GOLDEN, SIZES, fixture_text, load_model
 from modelspace.benchgen import ALL_KINDS, NOVEL_KINDS
 from modelspace.benchgen.corpus import generate_corpus
 from modelspace.pddl import (
@@ -147,6 +152,162 @@ class TestParsing:
         steps = parse_plan_text(fixture_text("d5_plan.txt"))
         assert len(steps) == 3
         assert steps[-1] == ("use_taxi", ("city_c", "city_e"))
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("(a b)\n; c\n(c d\n", "unbalanced '('", 3, 1),
+        ("(a b)\n; c\n(c (d))\n", "expected an atom '(predicate args...)'", 3, 2),
+        ("(a b)\r\n\t (c d) e\r\n", "trailing input after expression", 2, 9),
+    ], ids=["unbalanced", "not-an-atom", "indented-crlf"])
+    def test_plan_syntax_error_names_its_line(self, text, message, line, column):
+        """A plan error names the line of the file, not line 1 of the step,
+        and the column within that line, counting its indent."""
+        with pytest.raises(PddlSyntaxError) as exc:
+            parse_plan_text(text)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"{message} (line {line}, column {column})", line, column
+        )
+
+    @pytest.mark.parametrize("parse, text, message, line, column", [
+        (parse_domain, "(define (domain d)\n  (:types a -))", "missing type after '-'", 2, 13),
+        (parse_domain, "(define (domain d) (:predicates (p))\n (:action a :parameters ()\n"
+         "   precondition (p)))", "expected an action keyword", 3, 4),
+        (parse_problem, "(define (problem p) (:domain domaingotocity)\n (:init (at city_a)\n"
+         "   q))", "expected an atom '(predicate args...)'", 3, 4),
+    ], ids=["missing-type", "action-keyword", "init-atom"])
+    def test_semantic_error_carries_position(
+        self, parse, text, message, line, column, travel_model
+    ):
+        """Errors of the semantic pass, not the reader, name the token they
+        concern."""
+        args = (travel_model.domain,) if parse is parse_problem else ()
+        with pytest.raises(PddlSyntaxError) as exc:
+            parse(text, *args)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"{message} (line {line}, column {column})", line, column
+        )
+
+
+class _RefToken(str):
+    line = 0
+    column = 0
+
+
+_REF_TOKEN_RE = re.compile(r"\n|[()]|;[^\n]*|[^ \t\r\n();]+")
+
+
+def reference_tokenize(text):
+    tokens = []
+    line, line_start = 1, 0
+    for match in _REF_TOKEN_RE.finditer(text):
+        lexeme = match.group()
+        if lexeme == "\n":
+            line += 1
+            line_start = match.end()
+        elif lexeme[0] != ";":
+            tok = _RefToken(lexeme.lower())
+            tok.line, tok.column = line, match.start() - line_start + 1
+            tokens.append(tok)
+    return tokens
+
+
+def reference_read_sexpr(tokens, pos):
+    if pos >= len(tokens):
+        raise PddlSyntaxError("unexpected end of input")
+    tok = tokens[pos]
+    if tok == "(":
+        items = []
+        pos += 1
+        while pos < len(tokens) and tokens[pos] != ")":
+            item, pos = reference_read_sexpr(tokens, pos)
+            items.append(item)
+        if pos >= len(tokens):
+            raise PddlSyntaxError("unbalanced '('", tok.line, tok.column)
+        return items, pos + 1
+    if tok == ")":
+        raise PddlSyntaxError("unexpected ')'", tok.line, tok.column)
+    return tok, pos + 1
+
+
+def reference_parse_sexpr(text):
+    """Reference for `parse_sexpr`: every token carries its line and column
+    from the start, and the tree is read by one recursion per token."""
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise PddlSyntaxError("empty input")
+    tree, pos = reference_read_sexpr(tokens, 0)
+    if pos != len(tokens):
+        extra = tokens[pos]
+        raise PddlSyntaxError("trailing input after expression", extra.line, extra.column)
+    return tree
+
+
+def read_outcome(parse, text):
+    """The tree `parse` reads from `text`, or its error's type, message,
+    line and column."""
+    try:
+        return parse(text)
+    except PddlSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def plain_leaves(tree):
+    """True when every token in `tree` is a plain `str`, not a subclass."""
+    if isinstance(tree, list):
+        return all(plain_leaves(item) for item in tree)
+    return type(tree) is str
+
+
+@pytest.fixture(scope="module")
+def bench_corpora(tmp_path_factory):
+    """The oracle benchmark's written seed-0 corpora of both workloads."""
+    oraclebench = FIXTURES.parent.parent / "oraclebench"
+    if str(oraclebench) not in sys.path:
+        sys.path.insert(0, str(oraclebench))
+    import run as bench
+
+    root = tmp_path_factory.mktemp("corpora")
+    for name, workload in bench.WORKLOADS.items():
+        bench.set_up(workload, 0, root / name)
+    return root
+
+
+class TestReaderReference:
+    """`parse_sexpr` against `reference_parse_sexpr`: equal trees of plain
+    strings, or the same error type, message, line and column."""
+
+    def check(self, text):
+        got = read_outcome(parse_sexpr, text)
+        assert got == read_outcome(reference_parse_sexpr, text)
+        if isinstance(got, list):
+            assert plain_leaves(got)
+        return got
+
+    def test_fixtures(self):
+        for path in sorted(FIXTURES.iterdir()):
+            self.check(path.read_text())
+
+    def test_bench_corpora(self, bench_corpora):
+        pddl = sorted(bench_corpora.rglob("*.pddl"))
+        plans = sorted(bench_corpora.rglob("target_plan.txt"))
+        assert len(pddl) == 3 * len(plans) > 0
+        for path in pddl:
+            self.check(path.read_text())
+        for path in plans:
+            for line in path.read_text().splitlines():
+                self.check(line)
+
+    def test_random_strings(self):
+        """Strings over the characters the reader treats specially, the
+        whitespace it does not (\\x0b, \\xa0) and letters whose lowercase
+        depends on context (final sigma) or has two characters (dotted I)."""
+        alphabet = "()();-? \t\r\n\x0b\xa0İΣaBz"
+        rng = random.Random(0)
+        trees = 0
+        for _ in range(20_000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+            trees += not isinstance(self.check(text), tuple)
+        # both outcomes are exercised
+        assert 1_000 < trees < 19_000
 
 
 class TestRendering:
