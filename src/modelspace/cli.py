@@ -122,7 +122,9 @@ def _make_provider(spec: str, cfg: ProviderConfig, inst=None):
 def cmd_repair(args, config) -> int:
     task = _load_task(args)
     budget = _budget(args, config)
-    predicates = set(args.predicates.split(",")) if args.predicates else None
+    predicates = (
+        {name.strip() for name in args.predicates.split(",")} if args.predicates else None
+    )
     space = build_edit_space(task.base, predicates=predicates)
     if args.pipeline == "cs":
         options = enumerate_solutions(task, space, budget)

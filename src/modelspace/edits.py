@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pddl import GroundAtom, Model, is_ground_atom_well_typed
-from .pddl.errors import PddlError
+from .pddl.errors import PddlError, UnknownPredicate
 from .pddl.ground import enumerate_ground_atoms
 from .planner import Plan
 
@@ -59,7 +59,12 @@ def build_edit_space(
 ) -> list[ModelEdit]:
     """All well-typed initial-state additions of atoms not already true, in
     deterministic lexicographic order. Removals are never candidates: goals
-    and preconditions are positive, so no minimal repair removes a fact."""
+    and preconditions are positive, so no minimal repair removes a fact.
+    Raises UnknownPredicate for a name in `predicates` the domain does not
+    declare."""
+    for name in sorted(predicates or ()):
+        if name not in model.domain.predicates:
+            raise UnknownPredicate(f"unknown predicate '{name}' in the edit space")
     init = model.problem.init
     out = [
         ModelEdit(ADD_INIT, atom)

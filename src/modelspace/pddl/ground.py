@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
-from .errors import GroundingBlowup, UnknownObject
+from .errors import GroundingBlowup, TypeMismatch, UnknownObject
 from .model import ActionSchema, DomainModel, GroundAtom, Model
 
 DEFAULT_GROUNDING_CAP = 10**6
@@ -87,7 +87,7 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
             # unknown constant
             continue
         (pre, pre_keys), (add, add_keys), (dele, dele_keys), tail = _compile(
-            schema, problem.objects, bit
+            schema, domain, problem.objects, bit
         )
         name = schema.name
         for combo in product(*pools):
@@ -112,7 +112,7 @@ def ground_task(model: Model, cap: int = DEFAULT_GROUNDING_CAP) -> GroundTask:
     )
 
 
-def _compile(schema: ActionSchema, objects: dict[str, str], bit: dict):
+def _compile(schema: ActionSchema, domain: DomainModel, objects: dict[str, str], bit: dict):
     """Compile a schema's precondition, add and delete lists once, for
     every binding: returns a (fixed, keys) pair per list and a `tail` of
     names. A binding ``combo`` (one object per parameter) is extended to
@@ -120,25 +120,33 @@ def _compile(schema: ActionSchema, objects: dict[str, str], bit: dict):
     atom's flat ``(predicate, *args)`` key from that tuple, the predicate
     and constants from `tail` and the rest from `combo`. An atom with no
     variable is looked up here, once, into the list's `fixed` mask.
-    Raises UnknownObject for a constant that names no object."""
+    Raises UnknownObject for a constant that names no object, and
+    TypeMismatch for one whose object's type does not fit the predicate."""
     params = {var: i for i, (var, _) in enumerate(schema.parameters)}
     tail: dict[str, int] = {}  # name -> its position in combo + tail
 
     def at(name: str) -> int:
         return tail.setdefault(name, len(schema.parameters) + len(tail))
 
-    def where(arg: str) -> int:
+    def where(atom, arg: str, want: str) -> int:
         if arg.startswith("?"):
             return params[arg]
-        if arg not in objects:
+        got = objects.get(arg)
+        if got is None:
             raise UnknownObject(f"constant '{arg}' in action '{schema.name}'")
+        if not domain.is_subtype(got, want):
+            raise TypeMismatch(
+                f"atom {atom} in action '{schema.name}': constant '{arg}' has"
+                f" type '{got}', expected '{want}'"
+            )
         return at(arg)
 
     lists = []
     for lifted in (schema.preconditions, schema.add_effects, schema.del_effects):
         fixed, keys = 0, []
         for atom in lifted:
-            positions = [where(arg) for arg in atom.args]
+            decl = domain.predicates[atom.predicate]
+            positions = [where(atom, arg, want) for arg, want in zip(atom.args, decl)]
             if any(arg.startswith("?") for arg in atom.args):
                 keys.append(itemgetter(at(atom.predicate), *positions))
             else:

@@ -148,11 +148,17 @@ class Model:
 
     def validate(self) -> None:
         self.domain.validate()
-        for obj, t in self.problem.objects.items():
-            if t not in self.domain.type_hierarchy:
-                raise UnknownType(f"object '{obj}' has unknown type '{t}'")
-        for atom in self.problem.init | self.problem.goal:
-            check_ground_atom(self.domain, self.problem.objects, atom)
+        check_problem(self.domain, self.problem)
+
+
+def check_problem(domain: DomainModel, problem: ProblemModel) -> None:
+    """Raise unless each object has a declared type and each init and goal
+    atom is well-typed; `domain` itself is not validated again."""
+    for obj, t in problem.objects.items():
+        if t not in domain.type_hierarchy:
+            raise UnknownType(f"object '{obj}' has unknown type '{t}'")
+    for atom in problem.init | problem.goal:
+        check_ground_atom(domain, problem.objects, atom)
 
 
 def check_ground_atom(domain: DomainModel, objects: dict[str, str], atom: GroundAtom) -> None:

@@ -23,8 +23,8 @@ from .model import (
     Atom,
     DomainModel,
     GroundAtom,
-    Model,
     ProblemModel,
+    check_problem,
 )
 
 SUPPORTED_REQUIREMENTS = {":strips", ":typing"}
@@ -284,6 +284,8 @@ def _parse_action(section) -> ActionSchema:
 
 
 def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
+    """Read a problem of `domain`, a domain `parse_domain` returned: the
+    problem is checked against it, and the domain is not validated again."""
     return _parse(text, _problem, domain)
 
 
@@ -325,7 +327,7 @@ def _problem(tree, domain: DomainModel) -> ProblemModel:
             raise UnsupportedFeature(f"problem section '{key}' not supported")
 
     problem = ProblemModel(name, domain_name, objects, frozenset(init), frozenset(goal))
-    Model(domain, problem).validate()
+    check_problem(domain, problem)
     return problem
 
 

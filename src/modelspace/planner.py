@@ -7,13 +7,12 @@ greedy best-first on the number of unmet goal atoms, which finds some plan,
 not always a shortest one. In both modes a state is pushed once, when it is
 first found, and unsolvability is proven by exhausting the reachable
 states. It reads states and actions as the int bitmasks over atom
-indices that grounding built, with no conversion per call. An expansion
-tries only the actions that `_successor_index` hands back for the state's
-true watched atoms (the successor generator of Fast Downward), not every
-ground action. Its candidate cache lives inside each
-call and there is no module-level state, so the entry points are pure
-functions over immutable inputs, and running many instances in parallel
-worker threads is safe.
+indices that grounding built, with no conversion per call, and an
+expansion tests every action of the task in order: the tasks it searches
+are restricted to a few relevant actions (`SolvabilityCheck`). There is
+no module-level state, so the entry points are pure functions over
+immutable inputs, and running many instances in parallel worker threads
+is safe.
 
 `SolvabilityCheck`, the one solvability check of min-cost repair,
 enumeration, `judge` and set-up, puts two cheap tests before `solve`:
@@ -119,7 +118,7 @@ def solve(task: GroundTask, budget: Budget | None = None, greedy: bool = False) 
     budget = budget or Budget()
     start = time.monotonic()
     stats = SearchStats()
-    watched, candidates = _successor_index(task.actions)
+    actions = [(a.pre, a.add, ~a.dele, a) for a in task.actions]
     init, goal = task.init, task.goal
 
     # (priority, push order, state); the push order is `stats.generated`
@@ -139,7 +138,7 @@ def solve(task: GroundTask, budget: Budget | None = None, greedy: bool = False) 
             return SolveVerdict(BUDGET_EXHAUSTED, None, stats)
         stats.expansions += 1
         depth = priority + 1
-        for pre, add, keep, act in candidates(state & watched):
+        for pre, add, keep, act in actions:
             if pre & state == pre:
                 succ = (state & keep) | add
                 if succ not in parents:
@@ -150,44 +149,6 @@ def solve(task: GroundTask, budget: Budget | None = None, greedy: bool = False) 
 
     stats.elapsed = time.monotonic() - start
     return SolveVerdict(UNSOLVABLE, None, stats)
-
-
-def _successor_index(actions):
-    """Index actions by one watched precondition atom each.
-
-    An action watches the lowest-indexed atom of its precondition that some
-    action deletes where it has one (such as ``at(c)``, true in few
-    states), else its lowest-indexed precondition atom. One with no
-    precondition watches nothing and is always a candidate. Returns
-    (watched, candidates): `watched` masks every watched atom, and
-    ``candidates(state & watched)`` lists, in action order, the
-    ``(pre, add, keep, action)`` of each action that watches nothing
-    or an atom in the state; each list is built once per set of true
-    watched atoms, in a cache local to this call. Action order keeps the
-    counters, and so the tie-breaking, of a scan over all actions. `solve`
-    alone uses it.
-    """
-    deleted = 0
-    for a in actions:
-        deleted |= a.dele
-    indexed = []
-    watched = 0
-    for a in actions:
-        low = a.pre & deleted or a.pre
-        watch = low & -low
-        watched |= watch
-        indexed.append((watch, (a.pre, a.add, ~a.dele, a)))
-    by_fired: dict[int, list] = {}
-
-    def candidates(fired):
-        found = by_fired.get(fired)
-        if found is None:
-            found = by_fired[fired] = [
-                action for watch, action in indexed if watch & fired == watch
-            ]
-        return found
-
-    return watched, candidates
 
 
 def relevant_actions(actions, goal: int) -> list[int]:

@@ -37,7 +37,7 @@ from modelspace.benchgen.domains import (
     generate_travel,
 )
 from modelspace.edits import ADD_INIT, REMOVE_INIT, ModelEdit
-from modelspace.pddl import GroundAtom, ground_task, render_model
+from modelspace.pddl import DomainModel, GroundAtom, ground_task, render_model
 from modelspace.planner import SolvabilityCheck, solve, validate_plan
 
 
@@ -204,6 +204,21 @@ class TestDiskFormat:
         assert loaded.perturbed == inst.perturbed
         assert loaded.target_plan.steps == inst.target_plan.steps
         assert verify_instance(loaded)
+
+    def test_read_validates_the_domain_once(self, tmp_path, monkeypatch):
+        """Both problems are checked against the domain `parse_domain`
+        validated, not validated with it again."""
+        out = write_instance(make_instance(TRAVEL, seed=8), tmp_path)
+        calls = []
+        validate = DomainModel.validate
+
+        def counted(domain):
+            calls.append(domain.name)
+            validate(domain)
+
+        monkeypatch.setattr(DomainModel, "validate", counted)
+        read_instance(out)
+        assert len(calls) == 1
 
     def test_ground_truth_schema(self, tmp_path):
         inst = make_instance(BARMAN_SIMPLE, seed=2)

@@ -109,6 +109,29 @@ class TestRepair:
         assert code == 0
         assert stdout.strip() == "(no edits needed)"
 
+    def test_predicate_names_are_stripped(self, capsys, t2_files):
+        """A space after the comma keeps `has_bus` in the space: its one fix
+        comes first, as without the space."""
+        code, stdout, _ = run(
+            capsys, "repair",
+            "--domain", str(t2_files / "domain.pddl"),
+            "--problem", str(t2_files / "problem.pddl"),
+            "--predicates", "has_taxi, has_bus",
+        )
+        assert code == 0
+        assert stdout == "(+ (has_bus a c))\n"
+
+    def test_unknown_predicate_rejected(self, capsys, t2_files):
+        code, stdout, stderr = run(
+            capsys, "repair",
+            "--domain", str(t2_files / "domain.pddl"),
+            "--problem", str(t2_files / "problem.pddl"),
+            "--predicates", "has_taxi,has_buss",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: unknown predicate 'has_buss' in the edit space\n"
+
     @pytest.mark.parametrize("flag", ["--uns-expansions", "--time-seconds"])
     def test_zero_budget_rejected(self, capsys, t2_files, flag):
         code, _, stderr = run(
@@ -304,6 +327,32 @@ class TestErrorHandling:
         assert stdout == ""
         assert stderr == (
             "error: atom (home ?t) in action 'go': ?t has type 'truck',"
+            " expected 'crate'\n"
+        )
+
+    def test_ill_typed_action_constant_exit_1(self, capsys, tmp_path):
+        """The truck `t2` fills `home`'s crate place as a constant of `go`:
+        one error line naming the action, the atom and the constant."""
+        domain = tmp_path / "domain.pddl"
+        domain.write_text(
+            "(define (domain depot) (:requirements :strips :typing)"
+            " (:types truck crate)"
+            " (:predicates (home ?c - crate) (moved ?t - truck))"
+            " (:action go :parameters (?t - truck)"
+            " :precondition (home t2) :effect (moved ?t)))"
+        )
+        problem = tmp_path / "problem.pddl"
+        problem.write_text(
+            "(define (problem p) (:domain depot) (:objects t1 t2 - truck c1 - crate)"
+            " (:init (home c1)) (:goal (moved t1)))"
+        )
+        code, stdout, stderr = run(
+            capsys, "repair", "--domain", str(domain), "--problem", str(problem),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "error: atom (home t2) in action 'go': constant 't2' has type 'truck',"
             " expected 'crate'\n"
         )
 

@@ -18,7 +18,7 @@ from modelspace.edits import (
     edit_to_json,
     format_edit_set,
 )
-from modelspace.pddl import GroundAtom
+from modelspace.pddl import GroundAtom, UnknownPredicate
 
 
 def add(pred, *args):
@@ -38,8 +38,14 @@ class TestEditSpace:
         assert len(space) == 9 - 1
 
     def test_empty_space_rejected(self, t2):
+        """Every `at` atom already holds, so no addition is left."""
+        full = t2.with_init(t2.problem.init | {e.atom for e in build_edit_space(t2, {"at"})})
         with pytest.raises(EmptySpace):
-            build_edit_space(t2, predicates={"no_such_predicate"})
+            build_edit_space(full, predicates={"at"})
+
+    def test_undeclared_predicate_rejected(self, t2):
+        with pytest.raises(UnknownPredicate, match="unknown predicate 'no_such_predicate'"):
+            build_edit_space(t2, predicates={"at", "no_such_predicate"})
 
 
 class TestApplyEdits:

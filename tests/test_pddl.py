@@ -21,6 +21,7 @@ from modelspace.pddl import (
     GroundingBlowup,
     Model,
     PddlSyntaxError,
+    TypeMismatch,
     UnknownObject,
     UnknownPredicate,
     UnsupportedFeature,
@@ -427,13 +428,15 @@ def reference_ground_task(model, cap=DEFAULT_GROUNDING_CAP):
                 out = 0
                 for atom in lifted:
                     args = []
-                    for a in atom.args:
+                    for a, want in zip(atom.args, domain.predicates[atom.predicate]):
                         if a.startswith("?"):
                             args.append(binding[a])
-                        elif a in problem.objects:
-                            args.append(a)
-                        else:
+                        elif a not in problem.objects:
                             raise UnknownObject(f"constant '{a}' in action '{schema.name}'")
+                        elif not domain.is_subtype(problem.objects[a], want):
+                            raise TypeMismatch(f"constant '{a}' in action '{schema.name}'")
+                        else:
+                            args.append(a)
                     out |= 1 << atom_index[GroundAtom(atom.predicate, tuple(args))]
                 return out
 
@@ -519,6 +522,17 @@ class TestGroundingReference:
         for ground in (ground_task, reference_ground_task):
             with pytest.raises(UnknownObject, match="constant 'nowhere' in action 'hover'"):
                 ground(model)
+
+    def test_ill_typed_constant_of_a_bound_schema(self):
+        """`depot` declared a truck fills `home`'s crate place in `fetch`."""
+        model = depot_model(objects="t1 depot - truck c1 - crate", init="(home c1)")
+        with pytest.raises(TypeMismatch, match=re.escape(
+            "atom (home depot) in action 'fetch': constant 'depot' has type"
+            " 'truck', expected 'crate'"
+        )):
+            ground_task(model)
+        with pytest.raises(TypeMismatch, match="constant 'depot' in action 'fetch'"):
+            reference_ground_task(model)
 
     @pytest.mark.parametrize("cap, blowup", [
         (7, "ground atom universe exceeds cap of 7"),

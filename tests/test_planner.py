@@ -49,7 +49,7 @@ from modelspace.planner import (
     solve,
     validate_plan,
 )
-from modelspace.repair import _kept_edits, repair_min_cost
+from modelspace.repair import _kept_edits, enumerate_solutions, repair_min_cost
 
 
 def repaired_travel(model):
@@ -202,8 +202,8 @@ def ranked_min_cost_task(inst, decoys=5):
     return min_cost_task(task, assign_rank_costs(ranked))
 
 
-def lamp_task(init):
-    """A hand-built task whose `switch` action has no precondition."""
+def lamp_model(init):
+    """A hand-built model whose `switch` action has no precondition."""
     domain = parse_domain("""(define (domain lamp) (:requirements :strips)
       (:predicates (lit) (key) (open))
       (:action switch :parameters () :effect (lit))
@@ -212,7 +212,11 @@ def lamp_task(init):
     problem = parse_problem(
         f"(define (problem p) (:domain lamp) (:init {init}) (:goal (open)))", domain
     )
-    return ground_task(Model(domain, problem))
+    return Model(domain, problem)
+
+
+def lamp_task(init):
+    return ground_task(lamp_model(init))
 
 
 BUDGETS = [Budget(1), Budget(2), Budget(37), None]
@@ -352,6 +356,22 @@ class TestSolve:
             else:
                 assert verdict.status == SOLVED
                 assert len(verdict.plan) == expected
+
+    def test_action_without_preconditions_fires_from_any_state(self):
+        """`switch`, with an empty precondition, is the one step to `lit`
+        from every state that lacks it; enumerating additions of `key` and
+        `lit` finds `{key}` alone."""
+        for init in ("", "(key)", "(open)", "(key) (open)"):
+            task = lamp_task(init)
+            lit = _mask([task.atom_index[GroundAtom("lit", ())]])
+            verdict = solve(replace(task, goal=lit))
+            assert verdict.plan == Plan((("switch", ()),))
+            assert (verdict.stats.expansions, verdict.stats.generated) == (1, 1)
+        model = lamp_model("")
+        space = build_edit_space(model, predicates={"key", "lit"})
+        options = enumerate_solutions(RepairTask(model, UNSOLVABILITY), space, Budget())
+        key = ModelEdit(ADD_INIT, GroundAtom("key", ()))
+        assert [o.edits for o in options] == [frozenset({key})]
 
     def test_deterministic_tie_breaking(self, travel_exec_model):
         gt = ground_task(repaired_travel(travel_exec_model))

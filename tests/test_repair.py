@@ -38,7 +38,6 @@ from modelspace.planner import (
     SOLVED,
     SolvabilityCheck,
     UNSOLVABLE,
-    _successor_index,
     missing_init_atoms,
     solve,
     validate_plan,
@@ -336,6 +335,17 @@ class TestEnumeration:
         assert isinstance(out, NoSolution)
         assert out.reason == PROVEN_INSUFFICIENT
 
+    def test_add_edit_already_in_init(self, t2):
+        """An addition of a true atom changes no state and is never part of
+        a solution."""
+        task = RepairTask(t2, UNSOLVABILITY)
+        present = ModelEdit(ADD_INIT, GroundAtom("has_taxi", ("a", "b")))
+        fix = ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))
+        assert present.atom in t2.problem.init
+        comp = _compile_edit_search(task, [present, fix])
+        assert comp.edits == [present, fix]
+        assert search_edits(comp, Budget()) == ([frozenset({fix})], True)
+
 
 class TestWideSpaces:
     """Edit spaces of more than 64 kept edits, so an edit set spans more than
@@ -513,60 +523,6 @@ class TestLazySearchIsExact:
         missing = missing_init_atoms(travel_exec_model, plan)
         expected = [frozenset(ModelEdit(ADD_INIT, atom) for atom in missing)]
         assert search_edits(_compile_edit_search(task, space), Budget()) == (expected, True)
-
-
-class TestSuccessorIndex:
-    def test_two_watched_atoms_true_at_once(self, t2):
-        """An `at` edit makes two `at` atoms true, so the candidates of both
-        watched atoms are merged, in action order."""
-        task = RepairTask(t2, UNSOLVABILITY)
-        space = build_edit_space(t2, predicates={"has_taxi", "has_bus", "at"})
-        comp = _compile_edit_search(task, space)
-        assert ModelEdit(ADD_INIT, GroundAtom("at", ("b",))) in comp.edits
-        watched, candidates = _successor_index(comp.task.actions)
-        at_a, at_b = (
-            1 << comp.task.atom_index[GroundAtom("at", (c,))] for c in "ab"
-        )
-        assert at_a & watched and at_b & watched
-        merged = candidates(at_a | at_b)
-        assert merged == [
-            act for act in candidates(watched)
-            if act in candidates(at_a) or act in candidates(at_b)
-        ]
-        assert set(candidates(at_a)) < set(merged) > set(candidates(at_b))
-        solutions = search_edits(comp, ENUM_BUDGET)[0]
-        assert [sorted(map(str, s)) for s in solutions] == T2_SETS
-
-    def test_action_without_preconditions_is_always_a_candidate(self):
-        domain = parse_domain("""(define (domain lamp) (:requirements :strips)
-          (:predicates (lit) (key) (open))
-          (:action switch :parameters () :effect (lit))
-          (:action unlock :parameters ()
-            :precondition (and (lit) (key)) :effect (open)))""")
-        problem = parse_problem(
-            "(define (problem p) (:domain lamp) (:init) (:goal (open)))", domain
-        )
-        model = Model(domain, problem)
-        task = RepairTask(model, UNSOLVABILITY)
-        space = build_edit_space(model, predicates={"key", "lit"})
-        comp = _compile_edit_search(task, space)
-        [switch, unlock] = comp.task.actions
-        assert switch.pre == 0
-        _, candidates = _successor_index(comp.task.actions)
-        assert candidates(0) == [(0, switch.add, ~switch.dele, switch)]
-        key = ModelEdit(ADD_INIT, GroundAtom("key", ()))
-        assert search_edits(comp, Budget()) == ([frozenset({key})], True)
-
-    def test_add_edit_already_in_init(self, t2):
-        """An addition of a true atom changes no state and is never part of
-        a solution."""
-        task = RepairTask(t2, UNSOLVABILITY)
-        present = ModelEdit(ADD_INIT, GroundAtom("has_taxi", ("a", "b")))
-        fix = ModelEdit(ADD_INIT, GroundAtom("has_bus", ("b", "c")))
-        assert present.atom in t2.problem.init
-        comp = _compile_edit_search(task, [present, fix])
-        assert comp.edits == [present, fix]
-        assert search_edits(comp, Budget()) == ([frozenset({fix})], True)
 
 
 class TestSearchIsExact:
